@@ -12,8 +12,8 @@ from .adjoint import (AdjointBatch, AdjointPath, MatrixAdjointBatch,
                       solve_first_order_adjoint, solve_lean_adjoint,
                       solve_second_order_adjoint, theta_gradient_via_adjoint,
                       write_adjoints_csv)
-from .control import (ControlModel, control_jacobians, eval_control,
-                      load_control, make_feature_linear_control,
+from .control import (ControlModel, load_control,
+                      make_feature_linear_control,
                       make_linear_feedback_control,
                       make_one_hidden_layer_control, save_control)
 from .errors import (ConfigError, SimulationError, SocLabError,
@@ -35,9 +35,9 @@ from .problem import (DerivativeBundle, HTerm, LQData, OUParams, ProblemSpec,
                       make_lq_problem, make_ou_tilt_problem,
                       make_scalar_geometric_problem, validate_derivatives)
 from .simulate import (BrownianPath, TimeGrid, Trajectory, TrajectoryBatch,
-                       deterministic_mode, draw_batch_inputs, euler_step,
-                       sample_brownian, simulate_batch, simulate_costs,
-                       simulate_forward, write_trajectories_csv)
+                       draw_batch_inputs, euler_step, sample_brownian,
+                       simulate_batch, simulate_costs, simulate_forward,
+                       write_trajectories_csv)
 from .train import (TrainConfig, TrainHistory, TrainRecord,
                     evaluate_checkpoint, msa_exact_step,
                     train_adjoint_matching, write_history_csv,

@@ -2,8 +2,8 @@
 
 Every random draw in the package comes from a Philox generator keyed by
 (seed, stream tag, path index), so any path's noise can be regenerated in
-isolation and results never depend on how paths are chunked across
-workers. Stream tags keep Brownian increments and initial-state draws
+isolation and results never depend on how paths are split into
+blocks. Stream tags keep Brownian increments and initial-state draws
 decorrelated under a single master seed.
 """
 

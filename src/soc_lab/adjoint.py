@@ -40,7 +40,7 @@ import numpy as np
 
 from . import _io
 from .errors import UnsupportedProblemError, ValidationError
-from .simulate import TimeGrid, Trajectory, TrajectoryBatch
+from .simulate import TimeGrid, Trajectory, TrajectoryBatch, _time_major
 
 LEAN = "lean"
 FULL = "full"
@@ -162,7 +162,7 @@ def _batch_view(traj):
                           f"got {type(traj).__name__}")
 
 
-def _step_point(problem, states, controls, nodes, i):
+def _step_point(states, controls, nodes, i):
     """(x, u, t) coefficients for the backward step i+1 -> i.
 
     The forward step i -> i+1 was driven by (X_i, u_i, t_i); its adjoint
@@ -185,11 +185,11 @@ def solve_lean_adjoint(problem, control, traj):
     n, dt = grid.n_steps, grid.dt
     nodes = grid.nodes
     batch = states.shape[0]
-    values = np.empty((batch, n + 1, problem.d))
+    values = _time_major(n + 1, batch, problem.d)
     a = np.asarray(bundle.grad_terminal(states[:, n]), dtype=np.float64)
     values[:, n] = a
     for i in range(n - 1, -1, -1):
-        x, u, t = _step_point(problem, states, controls, nodes, i)
+        x, u, t = _step_point(states, controls, nodes, i)
         jac = bundle.d1_drift(x, u, t)
         src = bundle.d1_cost(x, u, t)
         a = a + dt * (np.einsum("bip,bi->bp", jac, a) + src)
@@ -236,11 +236,11 @@ def solve_first_order_adjoint(problem, control, traj, h_term=None):
     n, dt = grid.n_steps, grid.dt
     nodes = grid.nodes
     batch = states.shape[0]
-    values = np.empty((batch, n + 1, problem.d))
+    values = _time_major(n + 1, batch, problem.d)
     a = np.asarray(bundle.grad_terminal(states[:, n]), dtype=np.float64)
     values[:, n] = a
     for i in range(n - 1, -1, -1):
-        x, u, t = _step_point(problem, states, controls, nodes, i)
+        x, u, t = _step_point(states, controls, nodes, i)
         jac_x, grad_f, g, _ = _total_first_order(problem, control, x, u, t)
         c = np.einsum("bjip,bi->bjp", g, a)
         if h_term is not None:
@@ -317,12 +317,12 @@ def solve_second_order_adjoint(problem, control, traj, first):
     n, dt = grid.n_steps, grid.dt
     nodes = grid.nodes
     batch, d = states.shape[0], problem.d
-    values = np.empty((batch, n + 1, d, d))
+    values = _time_major(n + 1, batch, d, d)
     a_mat = np.asarray(bundle.hess_terminal(states[:, n]), dtype=np.float64)
     a_mat = 0.5 * (a_mat + a_mat.transpose(0, 2, 1))
     values[:, n] = a_mat
     for i in range(n - 1, -1, -1):
-        x, u, t = _step_point(problem, states, controls, nodes, i)
+        x, u, t = _step_point(states, controls, nodes, i)
         jac_x, _, g, du_dx = _total_first_order(problem, control, x, u, t)
         hess_f, hess_b, hess_s = _total_second_order(
             problem, control, x, u, t, du_dx)
@@ -358,11 +358,11 @@ def fundamental_matrix(problem, control, traj):
     nodes = grid.nodes
     batch, d = states.shape[0], problem.d
     eye = np.eye(d)
-    mats = np.empty((batch, n + 1, d, d))
+    mats = _time_major(n + 1, batch, d, d)
     phi = np.broadcast_to(eye, (batch, d, d)).copy()
     mats[:, n] = phi
     for i in range(n - 1, -1, -1):
-        x, u, t = _step_point(problem, states, controls, nodes, i)
+        x, u, t = _step_point(states, controls, nodes, i)
         jac = np.asarray(bundle.d1_drift(x, u, t), dtype=np.float64)
         phi = np.einsum("bij,bjk->bik", phi, eye + dt * jac)
         mats[:, i] = phi
@@ -386,12 +386,12 @@ def feynman_kac_lean(problem, control, traj, propagators):
     n, dt = grid.n_steps, grid.dt
     nodes = grid.nodes
     batch, d = states.shape[0], problem.d
-    values = np.empty((batch, n + 1, d))
+    values = _time_major(n + 1, batch, d)
     g_n = np.asarray(bundle.grad_terminal(states[:, n]), dtype=np.float64)
     c_run = np.zeros((batch, d))
     values[:, n] = g_n
     for i in range(n - 1, -1, -1):
-        x, u, t = _step_point(problem, states, controls, nodes, i)
+        x, u, t = _step_point(states, controls, nodes, i)
         src = np.asarray(bundle.d1_cost(x, u, t), dtype=np.float64)
         phi_t = mats[:, i].transpose(0, 2, 1)
         try:

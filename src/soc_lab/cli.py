@@ -675,7 +675,7 @@ def main(argv=None):
         p.add_argument("--seed", type=int, default=None,
                        help="override config master_seed")
         p.add_argument("--workers", type=int, default=None,
-                       help="cap worker threads (never changes results)")
+                       help="accepted and ignored; draws are serial")
         p.add_argument("--out", default=None,
                        help="output directory (overrides config out_dir)")
         if name == "report":

@@ -329,16 +329,6 @@ def make_one_hidden_layer_control(d, k, width, horizon, theta=None):
                         {"width": int(width)}, theta=theta)
 
 
-def eval_control(control, x, t):
-    """Functional form of ControlModel.evaluate."""
-    return control.evaluate(x, t)
-
-
-def control_jacobians(control, x, t):
-    """Functional form of ControlModel.jacobians."""
-    return control.jacobians(x, t)
-
-
 def save_control(control, path):
     """Write a control to JSON (sorted keys, full float precision)."""
     with open(path, "w", newline="\n") as fh:

@@ -11,23 +11,33 @@ Scheme conventions, shared by everything downstream:
   * running costs are accumulated with the left-endpoint Riemann sum.
 
 Noise is counter-based: path p of master seed s always sees the same
-increments regardless of batch size, worker count, or which other paths
-are simulated alongside it. Batched states are laid out (B, n_steps+1, d).
+increments regardless of batch size or which other paths are simulated
+alongside it.
+
+Batched per-step arrays (states, controls, increments, and the adjoint
+values solved along them) are stored time-major, (n_steps+1, B, d) in
+memory, and exposed as path-major (B, n_steps+1, d) views: every sweep
+over the grid reads or writes `arr[:, i]`, which is then one contiguous
+block instead of B scattered rows, while per-path views `arr[b]` keep
+their shape.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
 import math
-import os
 
 import numpy as np
 
 from . import _io, _rng
 from .errors import SimulationError, ValidationError
 
-_CHUNK = 1024  # paths per RNG work unit; fixed so results never depend on workers
+_CHUNK = 1024  # paths per noise draw buffer
+
+
+def _time_major(steps, batch, *tail):
+    """Uninitialised (batch, steps, *tail) view of time-major storage."""
+    return np.empty((steps, batch) + tail).swapaxes(0, 1)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -86,11 +96,13 @@ class Trajectory:
 
 
 class TrajectoryBatch:
-    """A batch of paths stored as contiguous arrays.
+    """A batch of paths stored as arrays.
 
     states (B, n_steps+1, d), controls (B, n_steps, k), increments
-    (B, n_steps, m), pathwise_costs (B,). Indexing returns per-path
-    `Trajectory` views.
+    (B, n_steps, m), pathwise_costs (B,). Batches built here hold
+    time-major storage behind those shapes (see the module docstring);
+    any layout with the same shapes gives the same results. Indexing
+    returns per-path `Trajectory` views.
     """
 
     def __init__(self, grid, states, controls, increments, master_seed,
@@ -161,18 +173,16 @@ def _check_finite(x, step_index, path_indices):
         )
 
 
-def _rollout(problem, control, grid, x0, increments, path_indices,
-             store_states=True):
-    """Shared Euler loop. Returns (states or None, controls, costs, x_final)."""
+def _rollout(problem, control, grid, x0, increments, path_indices):
+    """Shared Euler loop. Returns (states, controls, costs, x_final)."""
     n, dt = grid.n_steps, grid.dt
     nodes = grid.nodes
     batch = x0.shape[0]
     x = np.array(x0, dtype=np.float64)
     _check_finite(x, 0, path_indices)
-    states = np.empty((batch, n + 1, problem.d)) if store_states else None
-    if store_states:
-        states[:, 0] = x
-    controls = np.empty((batch, n, problem.k))
+    states = _time_major(n + 1, batch, problem.d)
+    states[:, 0] = x
+    controls = _time_major(n, batch, problem.k)
     costs = np.zeros(batch)
     for i in range(n):
         t = float(nodes[i])
@@ -184,8 +194,7 @@ def _rollout(problem, control, grid, x0, increments, path_indices,
         costs += dt * problem.running_cost(x, u, t)
         x = euler_step(problem, x, u, t, dt, increments[:, i])
         _check_finite(x, i + 1, path_indices)
-        if store_states:
-            states[:, i + 1] = x
+        states[:, i + 1] = x
     costs += problem.terminal_cost(x)
     return states, controls, costs, x
 
@@ -206,48 +215,29 @@ def simulate_forward(problem, control, grid, noise, x0):
                       noise=noise, pathwise_cost=float(costs[0]))
 
 
-def deterministic_mode():
-    """True when SOC_LAB_DETERMINISTIC=1 forces serial, fixed-order execution."""
-    return os.environ.get("SOC_LAB_DETERMINISTIC", "") == "1"
-
-
-def _resolve_workers(workers):
-    if deterministic_mode():
-        return 1
-    if workers is None:
-        return max(1, os.cpu_count() or 1)
-    return max(1, int(workers))
-
-
 def draw_batch_inputs(problem, grid, master_seed, x0_seed, start, stop,
                       workers=None):
     """Increments and initial states for paths [start, stop).
 
     Path p always gets the same draws for a given (master_seed, x0_seed),
-    whatever the range bounds or worker count — the RNG is keyed by the
-    absolute path index in fixed-size chunks.
+    whatever the range bounds: the RNG is keyed by the absolute path
+    index. Increments come back as a (count, n_steps, m) view of
+    time-major storage, filled through one path-major buffer of at most
+    _CHUNK paths. `workers` is accepted and ignored; draws are serial.
     """
-    workers = _resolve_workers(workers)
     n, m, d = grid.n_steps, problem.m, problem.d
     sqrt_dt = math.sqrt(grid.dt)
     count = stop - start
-    increments = np.empty((count, n, m))
+    increments = _time_major(n, count, m)
     x0 = np.empty((count, d))
-
-    def fill(lo, hi):
-        for p in range(lo, hi):
-            gen = _rng.philox_generator(master_seed, p, _rng.BROWNIAN)
-            increments[p - start] = gen.standard_normal((n, m))
-            x0[p - start] = problem.sample_initial(x0_seed, p)
-
-    spans = [(s, min(s + _CHUNK, stop)) for s in range(start, stop, _CHUNK)]
-    if workers > 1 and len(spans) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda span: fill(*span), spans))
-    else:
-        for span in spans:
-            fill(*span)
-    increments *= sqrt_dt
+    buf = np.empty((min(_CHUNK, count), n, m))
+    for lo in range(0, count, _CHUNK):
+        hi = min(lo + _CHUNK, count)
+        for j in range(lo, hi):
+            gen = _rng.philox_generator(master_seed, start + j, _rng.BROWNIAN)
+            buf[j - lo] = gen.standard_normal((n, m))
+            x0[j] = problem.sample_initial(x0_seed, start + j)
+        np.multiply(buf[:hi - lo], sqrt_dt, out=increments[lo:hi])
     return increments, x0
 
 
@@ -257,8 +247,9 @@ def simulate_batch(problem, control, grid, master_seed, n_paths,
 
     Brownian noise comes from per-path counter streams of `master_seed`;
     initial states from per-path streams of `x0_seed` (defaults to
-    `master_seed` on a separate stream tag). Results are bit-identical for
-    every `workers` value; SOC_LAB_DETERMINISTIC=1 forces workers=1.
+    `master_seed` on a separate stream tag). `workers` is accepted for
+    compatibility and ignored: the draws run serially, and results depend
+    only on the seeds.
     """
     _check_grid(problem, grid)
     if n_paths < 1:

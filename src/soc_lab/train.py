@@ -43,7 +43,8 @@ class TrainConfig:
 
     resample_noise_each_iter=True simulates iteration j with master_seed+j;
     False reuses master_seed every iteration (a fixed batch, useful for
-    reproducibility guards and debugging descent).
+    reproducibility guards and debugging descent). workers is accepted and
+    ignored; noise is drawn serially.
     """
 
     n_iters: int

@@ -328,6 +328,66 @@ def test_theta_gradient_single_trajectory_matches_batch(sg_problem,
 
 
 # ---------------------------------------------------------------------------
+# batch layout
+
+
+def _solve_all(problem, control, batch):
+    """Values of every backward solver, plus the direct theta-gradient."""
+    lean = sl.solve_lean_adjoint(problem, control, batch)
+    full = sl.solve_first_order_adjoint(problem, control, batch)
+    second = sl.solve_second_order_adjoint(problem, control, batch, full)
+    props = sl.fundamental_matrix(problem, control, batch)
+    fk = sl.feynman_kac_lean(problem, control, batch, props)
+    return {"lean": lean.values, "full": full.values,
+            "second_order": second.values, "propagator": props.matrices,
+            "feynman_kac": fk.values,
+            "theta_grad": sl.theta_gradient_via_adjoint(problem, control,
+                                                        batch, full)}
+
+
+def _layout_case(request, fixture):
+    if fixture == "lq_2d":
+        problem = request.getfixturevalue("lq_2d_problem")
+        return problem, make_mild_feedback(2, 1, 1.0)
+    return (request.getfixturevalue(f"{fixture}_problem"),
+            request.getfixturevalue(f"{fixture}_control"))
+
+
+@pytest.mark.parametrize("fixture", ["sg", "lq_2d"])
+def test_solver_values_are_time_major_views(request, fixture, grid):
+    problem, control = _layout_case(request, fixture)
+    batch = sl.simulate_batch(problem, control, grid, 6, 5)
+    n, d = grid.n_steps, problem.d
+    out = _solve_all(problem, control, batch)
+    shapes = {"lean": (5, n + 1, d), "full": (5, n + 1, d),
+              "second_order": (5, n + 1, d, d),
+              "propagator": (5, n + 1, d, d), "feynman_kac": (5, n + 1, d)}
+    for name, shape in shapes.items():
+        assert out[name].shape == shape, name
+        for i in (0, n // 2, n):
+            assert out[name][:, i].flags.c_contiguous, (name, i)
+
+
+@pytest.mark.parametrize("fixture", ["sg", "lq_2d"])
+def test_solvers_ignore_input_layout(request, fixture, grid):
+    """Path-major contiguous copies of a batch give bit-identical results."""
+    problem, control = _layout_case(request, fixture)
+    batch = sl.simulate_batch(problem, control, grid, 6, 5)
+    copy = sl.TrajectoryBatch(
+        grid=batch.grid, states=np.ascontiguousarray(batch.states),
+        controls=np.ascontiguousarray(batch.controls),
+        increments=np.ascontiguousarray(batch.increments),
+        master_seed=batch.master_seed, x0_seed=batch.x0_seed,
+        path_indices=batch.path_indices,
+        pathwise_costs=batch.pathwise_costs)
+    assert copy.states.flags.c_contiguous
+    ref = _solve_all(problem, control, batch)
+    out = _solve_all(problem, control, copy)
+    for name in ref:
+        np.testing.assert_array_equal(out[name], ref[name], err_msg=name)
+
+
+# ---------------------------------------------------------------------------
 # containers and output
 
 

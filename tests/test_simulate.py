@@ -119,6 +119,36 @@ def test_worker_count_does_not_change_results(lq_problem, lq_control, grid):
                                   threaded.pathwise_costs)
 
 
+def test_batch_arrays_are_time_major_views(lq_2d_problem, grid):
+    """Public shapes are path-major; each time slice is one contiguous block."""
+    control = make_mild_feedback(2, 1, 1.0)
+    batch = sl.simulate_batch(lq_2d_problem, control, grid, 4, 5)
+    n = grid.n_steps
+    assert batch.states.shape == (5, n + 1, 2)
+    assert batch.controls.shape == (5, n, 1)
+    assert batch.increments.shape == (5, n, 2)
+    for i in (0, n // 2, n - 1):
+        assert batch.states[:, i].flags.c_contiguous
+        assert batch.controls[:, i].flags.c_contiguous
+        assert batch.increments[:, i].flags.c_contiguous
+    assert batch.states[:, n].flags.c_contiguous
+    assert batch[3].states.shape == (n + 1, 2)
+
+
+def test_draw_batch_inputs_is_range_and_worker_invariant(lq_problem, grid):
+    """Ranges that straddle the draw buffer's 1024-path chunks agree."""
+    full_inc, full_x0 = sl.draw_batch_inputs(lq_problem, grid, 7, 8, 0, 2100)
+    inc, x0 = sl.draw_batch_inputs(lq_problem, grid, 7, 8, 1000, 2100)
+    assert inc.shape == (1100, grid.n_steps, lq_problem.m)
+    np.testing.assert_array_equal(inc, full_inc[1000:2100])
+    np.testing.assert_array_equal(x0, full_x0[1000:2100])
+    for workers in (1, 4):
+        again = sl.draw_batch_inputs(lq_problem, grid, 7, 8, 1000, 2100,
+                                     workers=workers)
+        np.testing.assert_array_equal(again[0], inc)
+        np.testing.assert_array_equal(again[1], x0)
+
+
 def test_lq_euler_moments_match_exact_recursion(lq_problem, grid):
     """MC terminal moments agree with the scheme's own moment recursion.
 
