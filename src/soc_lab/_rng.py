@@ -1,16 +1,35 @@
 """Counter-based random streams.
 
-Every random draw in the package comes from a Philox generator keyed by
+Every random draw in the package comes from a Philox stream keyed by
 (seed, stream tag, path index), so any path's noise can be regenerated in
 isolation and results never depend on how paths are split into
 blocks. Stream tags keep Brownian increments and initial-state draws
-decorrelated under a single master seed.
+decorrelated under a single master seed (Salmon et al., "Parallel random
+numbers: as easy as 1, 2, 3", SC 2011).
+
+Two ways to reach a stream, both starting it at counter 0:
+
+  * `philox_generator` builds a new `np.random.Generator`. Use it for a
+    generator that is held while other streams are drawn from, such as
+    derivative-validation probes or a user-supplied `initial_sampler`.
+  * `_rekeyed` re-keys this thread's one shared generator in place, with
+    no construction and no entropy read, and draws exactly the same
+    numbers. It costs about 1.6 us per stream against 21 us to build a
+    generator (2-vCPU x86 machine, numpy 2.4). The generator it returns
+    is valid only until the next `_rekeyed` call on the same thread,
+    which re-keys it again. The package's per-path hot loops use it;
+    each thread gets its own generator, so threads never share one.
 """
+
+import operator
+import threading
 
 import numpy as np
 
-_MASK64 = (1 << 64) - 1
+from .errors import ValidationError
+
 _PATH_BITS = 48
+_STREAM_BITS = 16
 
 # Stream tags.
 BROWNIAN = 0
@@ -18,17 +37,58 @@ INITIAL_STATE = 1
 PROBE = 2
 
 
-def philox_generator(seed, path_index=0, stream=BROWNIAN):
-    """Generator for one (seed, stream, path) cell.
+def _key_words(seed, path_index, stream):
+    """The two Philox key words of one (seed, stream, path) cell.
 
-    The Philox key packs the stream tag into the high bits of the second
-    key word and the path index into the low 48 bits, so distinct
-    (stream, path) pairs can never collide for a fixed seed.
+    The first word is the seed; the second packs the stream tag into its
+    high 16 bits and the path index into the low 48, so distinct
+    (seed, stream, path) cells never share a key. Values outside those
+    widths are refused rather than wrapped, which would alias streams.
     """
-    if path_index < 0 or path_index >= (1 << _PATH_BITS):
-        raise ValueError(f"path_index out of range: {path_index}")
-    key = np.array(
-        [seed & _MASK64, ((stream & 0xFFFF) << _PATH_BITS) | path_index],
-        dtype=np.uint64,
-    )
+    try:
+        seed, path_index, stream = (operator.index(seed),
+                                    operator.index(path_index),
+                                    operator.index(stream))
+    except TypeError:
+        raise ValidationError(
+            f"seed, path_index and stream must be integers, got "
+            f"{seed!r}, {path_index!r}, {stream!r}") from None
+    if not (0 <= seed < 1 << 64 and 0 <= path_index < 1 << _PATH_BITS
+            and 0 <= stream < 1 << _STREAM_BITS):
+        raise ValidationError(
+            f"RNG key out of range: seed {seed} (needs [0, 2**64)), "
+            f"path_index {path_index} (needs [0, 2**{_PATH_BITS})), "
+            f"stream {stream} (needs [0, 2**{_STREAM_BITS}))")
+    return seed, (stream << _PATH_BITS) | path_index
+
+
+def philox_generator(seed, path_index=0, stream=BROWNIAN):
+    """A new generator for one (seed, stream, path) cell."""
+    key = np.array(_key_words(seed, path_index, stream), dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+_local = threading.local()
+
+
+def _rekeyed(seed, path_index=0, stream=BROWNIAN):
+    """This thread's shared generator, re-keyed to one (seed, stream, path).
+
+    Draws the same numbers as `philox_generator(seed, path_index, stream)`
+    whatever was drawn from it before: the key is replaced, the counter
+    reset to 0, and the output buffer and cached 32-bit half discarded.
+    Valid until the next call on this thread.
+    """
+    try:
+        state, bits, gen = _local.philox
+    except AttributeError:
+        bits = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+        gen = np.random.Generator(bits)
+        state = {"bit_generator": "Philox",
+                 "state": {"counter": (0, 0, 0, 0), "key": (0, 0)},
+                 "buffer": (0, 0, 0, 0), "buffer_pos": 4,
+                 "has_uint32": 0, "uinteger": 0}
+        _local.philox = state, bits, gen
+    state["state"]["key"] = _key_words(seed, path_index, stream)
+    bits.state = state
+    return gen

@@ -35,6 +35,8 @@ association order; agreement is floating-point tight, not just O(dt)).
 from __future__ import annotations
 
 import dataclasses
+import functools
+import operator
 
 import numpy as np
 
@@ -252,36 +254,42 @@ def solve_first_order_adjoint(problem, control, traj, h_term=None):
     return out[0] if single else out
 
 
+def _total_hessian(lead, xx, xu, uu, du_dx):
+    """xx + xu du + (xu du)' + du' uu du, from the terms that are present.
+
+    `lead` names the indices between the batch axis and the last two (""
+    for the cost, "i" for drift components, "ji" for diffusion entries).
+    Absent (None) terms are identically zero and are left out rather than
+    built and contracted; None when all three are absent.
+    """
+    terms = [] if xx is None else [xx]
+    if xu is not None:
+        mixed = np.einsum(f"b{lead}pc,bcq->b{lead}pq", xu, du_dx)
+        terms += [mixed, np.swapaxes(mixed, -1, -2)]
+    if uu is not None:
+        terms.append(np.einsum(f"bcp,b{lead}ce,beq->b{lead}pq",
+                               du_dx, uu, du_dx))
+    return functools.reduce(operator.add, terms) if terms else None
+
+
 def _total_second_order(problem, control, x, u, t, du_dx):
-    """Total Hessians of cost, drift components, and diffusion entries."""
+    """Total Hessians of cost, drift components, and diffusion entries.
+
+    Each is None when the bundle leaves all of its entries out.
+    """
     so = problem.derivatives.second_order
-    d, k, m = problem.d, problem.k, problem.m
 
-    def entry(fn, tail):
-        if fn is None:
-            return np.zeros((x.shape[0],) + tail)
-        return np.asarray(fn(x, u, t), dtype=np.float64)
+    def entry(fn):
+        return None if fn is None else np.asarray(fn(x, u, t), dtype=np.float64)
 
-    c_xx = entry(so.cost_hess_xx, (d, d))
-    c_xu = entry(so.cost_hess_xu, (d, k))
-    c_uu = entry(so.cost_hess_uu, (k, k))
-    mixed = np.einsum("bpc,bcq->bpq", c_xu, du_dx)
-    hess_f = (c_xx + mixed + mixed.transpose(0, 2, 1)
-              + np.einsum("bcp,bce,beq->bpq", du_dx, c_uu, du_dx))
-
-    b_xx = entry(so.drift_hess_xx, (d, d, d))
-    b_xu = entry(so.drift_hess_xu, (d, d, k))
-    b_uu = entry(so.drift_hess_uu, (d, k, k))
-    mixed_b = np.einsum("bipc,bcq->bipq", b_xu, du_dx)
-    hess_b = (b_xx + mixed_b + mixed_b.transpose(0, 1, 3, 2)
-              + np.einsum("bcp,bice,beq->bipq", du_dx, b_uu, du_dx))
-
-    s_xx = entry(so.sigma_hess_xx, (m, d, d, d))
-    s_xu = entry(so.sigma_hess_xu, (m, d, d, k))
-    s_uu = entry(so.sigma_hess_uu, (m, d, k, k))
-    mixed_s = np.einsum("bjipc,bcq->bjipq", s_xu, du_dx)
-    hess_s = (s_xx + mixed_s + mixed_s.transpose(0, 1, 2, 4, 3)
-              + np.einsum("bcp,bjice,beq->bjipq", du_dx, s_uu, du_dx))
+    hess_f = _total_hessian("", entry(so.cost_hess_xx), entry(so.cost_hess_xu),
+                            entry(so.cost_hess_uu), du_dx)
+    hess_b = _total_hessian("i", entry(so.drift_hess_xx),
+                            entry(so.drift_hess_xu), entry(so.drift_hess_uu),
+                            du_dx)
+    hess_s = _total_hessian("ji", entry(so.sigma_hess_xx),
+                            entry(so.sigma_hess_xu), entry(so.sigma_hess_uu),
+                            du_dx)
     return hess_f, hess_b, hess_s
 
 
@@ -327,16 +335,20 @@ def solve_second_order_adjoint(problem, control, traj, first):
         hess_f, hess_b, hess_s = _total_second_order(
             problem, control, x, u, t, du_dx)
         a_vec = first_values[:, i + 1]
-        a_hs = np.einsum("bi,bjipq->bjpq", a_vec, hess_s)
         lyap = (np.einsum("bip,biq->bpq", jac_x, a_mat)
                 + np.einsum("bpi,biq->bpq", a_mat, jac_x)
-                + np.einsum("bjip,bir,bjrq->bpq", g, a_mat, g)
-                + hess_f
-                + np.einsum("bi,bipq->bpq", a_vec, hess_b)
-                + 0.5 * np.einsum("bjpr,bjrq->bpq", a_hs, g))
+                + np.einsum("bjip,bir,bjrq->bpq", g, a_mat, g))
         u_noise = (np.einsum("bpr,bjrq->bjpq", a_mat, g)
-                   + np.einsum("bjrp,brq->bjpq", g, a_mat)
-                   + a_hs)
+                   + np.einsum("bjrp,brq->bjpq", g, a_mat))
+        # Absent Hessians are zero; skipping them keeps the sum's order.
+        if hess_f is not None:
+            lyap = lyap + hess_f
+        if hess_b is not None:
+            lyap = lyap + np.einsum("bi,bipq->bpq", a_vec, hess_b)
+        if hess_s is not None:
+            a_hs = np.einsum("bi,bjipq->bjpq", a_vec, hess_s)
+            lyap = lyap + 0.5 * np.einsum("bjpr,bjrq->bpq", a_hs, g)
+            u_noise = u_noise + a_hs
         a_mat = (a_mat + dt * lyap
                  + np.einsum("bjpq,bj->bpq", u_noise, increments[:, i]))
         a_mat = 0.5 * (a_mat + a_mat.transpose(0, 2, 1))

@@ -268,6 +268,14 @@ def _validate_train(section):
     return merged
 
 
+def _check_seed(seed):
+    """Seeds key the Philox streams directly, so they must fit 64 bits."""
+    if not 0 <= seed < 2 ** 64:
+        raise ConfigError(f"config.master_seed: must be in [0, 2**64), "
+                          f"got {seed}")
+    return seed
+
+
 def validate_config(raw):
     """Normalize a raw config dict: defaults applied, unknown keys rejected.
 
@@ -280,7 +288,8 @@ def validate_config(raw):
         if key not in raw:
             raise ConfigError(f"config.{key}: missing required key")
     cfg = {}
-    cfg["master_seed"] = _take_int(raw, "master_seed", "config", default=0)
+    cfg["master_seed"] = _check_seed(
+        _take_int(raw, "master_seed", "config", default=0))
     cfg["out_dir"] = _take_str(raw, "out_dir", "config", required=False,
                                default=DEFAULT_CONFIG["out_dir"])
     cfg["problem"] = _validate_problem(raw["problem"])
@@ -687,7 +696,7 @@ def main(argv=None):
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
-            cfg["master_seed"] = args.seed
+            cfg["master_seed"] = _check_seed(args.seed)
         out_dir = pathlib.Path(args.out if args.out else cfg["out_dir"])
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "check":

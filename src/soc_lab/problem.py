@@ -459,7 +459,7 @@ def make_lq_problem(a_mat, b_mat, sigma, q_run, q_term, horizon,
         return 0.5 * np.einsum("bi,ij,bj->b", x, qt, x)
 
     def initial_sampler(seed, path_index):
-        gen = _rng.philox_generator(seed, path_index, _rng.INITIAL_STATE)
+        gen = _rng._rekeyed(seed, path_index, _rng.INITIAL_STATE)
         return mean + chol @ gen.standard_normal(d)
 
     bundle = DerivativeBundle(
@@ -570,7 +570,7 @@ def make_scalar_geometric_problem(nu=0.2, horizon=1.0, x0_mean=1.0, x0_std=0.2):
         return np.einsum("bi,bi->b", x - 1.0, x - 1.0)
 
     def initial_sampler(seed, path_index):
-        gen = _rng.philox_generator(seed, path_index, _rng.INITIAL_STATE)
+        gen = _rng._rekeyed(seed, path_index, _rng.INITIAL_STATE)
         return np.array([x0_mean + x0_std * gen.standard_normal()])
 
     def ones3(x):

@@ -12,7 +12,9 @@ Scheme conventions, shared by everything downstream:
 
 Noise is counter-based: path p of master seed s always sees the same
 increments regardless of batch size or which other paths are simulated
-alongside it.
+alongside it. The per-path draws re-key one Philox generator per thread
+(`_rng._rekeyed`) instead of building a generator per path; the numbers
+are the same either way.
 
 Batched per-step arrays (states, controls, increments, and the adjoint
 values solved along them) are stored time-major, (n_steps+1, B, d) in
@@ -138,7 +140,7 @@ def sample_brownian(grid, m, master_seed, path_index):
     """Increments of one m-dimensional Brownian path on the grid."""
     if m < 1:
         raise ValidationError(f"m must be >= 1, got {m}")
-    gen = _rng.philox_generator(master_seed, path_index, _rng.BROWNIAN)
+    gen = _rng._rekeyed(master_seed, path_index, _rng.BROWNIAN)
     inc = gen.standard_normal((grid.n_steps, m)) * math.sqrt(grid.dt)
     return BrownianPath(increments=inc, master_seed=master_seed,
                         path_index=path_index)
@@ -173,28 +175,38 @@ def _check_finite(x, step_index, path_indices):
         )
 
 
-def _rollout(problem, control, grid, x0, increments, path_indices):
-    """Shared Euler loop. Returns (states, controls, costs, x_final)."""
+def _rollout(problem, control, grid, x0, increments, path_indices,
+             start_index=0, store_states=True):
+    """Shared Euler loop from grid node `start_index` to the horizon.
+
+    Step i uses increments[:, i - start_index]. Returns (states, controls,
+    costs, x_final); with store_states=False states and controls are None
+    and no per-step array is allocated.
+    """
     n, dt = grid.n_steps, grid.dt
     nodes = grid.nodes
+    steps = n - start_index
     batch = x0.shape[0]
     x = np.array(x0, dtype=np.float64)
-    _check_finite(x, 0, path_indices)
-    states = _time_major(n + 1, batch, problem.d)
-    states[:, 0] = x
-    controls = _time_major(n, batch, problem.k)
+    _check_finite(x, start_index, path_indices)
+    states = controls = None
+    if store_states:
+        states = _time_major(steps + 1, batch, problem.d)
+        states[:, 0] = x
+        controls = _time_major(steps, batch, problem.k)
     costs = np.zeros(batch)
-    for i in range(n):
-        t = float(nodes[i])
+    for s in range(steps):
+        t = float(nodes[start_index + s])
         u = np.asarray(control.evaluate(x, t), dtype=np.float64)
         if u.shape != (batch, problem.k):
             raise ValidationError(
                 f"control returned shape {u.shape}, expected {(batch, problem.k)}")
-        controls[:, i] = u
         costs += dt * problem.running_cost(x, u, t)
-        x = euler_step(problem, x, u, t, dt, increments[:, i])
-        _check_finite(x, i + 1, path_indices)
-        states[:, i + 1] = x
+        x = euler_step(problem, x, u, t, dt, increments[:, s])
+        _check_finite(x, start_index + s + 1, path_indices)
+        if store_states:
+            controls[:, s] = u
+            states[:, s + 1] = x
     costs += problem.terminal_cost(x)
     return states, controls, costs, x
 
@@ -221,9 +233,13 @@ def draw_batch_inputs(problem, grid, master_seed, x0_seed, start, stop,
 
     Path p always gets the same draws for a given (master_seed, x0_seed),
     whatever the range bounds: the RNG is keyed by the absolute path
-    index. Increments come back as a (count, n_steps, m) view of
-    time-major storage, filled through one path-major buffer of at most
-    _CHUNK paths. `workers` is accepted and ignored; draws are serial.
+    index. Seeds must lie in [0, 2**64) and path indices in [0, 2**48);
+    anything else raises ValidationError. Each path's increments are drawn
+    by re-keying this thread's shared Philox generator, straight into one
+    path-major buffer of at most _CHUNK paths, then scaled into the
+    (count, n_steps, m) view of time-major storage that comes back.
+    Concurrent calls from different threads do not interfere. `workers`
+    is accepted and ignored; draws are serial.
     """
     n, m, d = grid.n_steps, problem.m, problem.d
     sqrt_dt = math.sqrt(grid.dt)
@@ -234,8 +250,8 @@ def draw_batch_inputs(problem, grid, master_seed, x0_seed, start, stop,
     for lo in range(0, count, _CHUNK):
         hi = min(lo + _CHUNK, count)
         for j in range(lo, hi):
-            gen = _rng.philox_generator(master_seed, start + j, _rng.BROWNIAN)
-            buf[j - lo] = gen.standard_normal((n, m))
+            gen = _rng._rekeyed(master_seed, start + j, _rng.BROWNIAN)
+            gen.standard_normal(out=buf[j - lo])
             x0[j] = problem.sample_initial(x0_seed, start + j)
         np.multiply(buf[:hi - lo], sqrt_dt, out=increments[lo:hi])
     return increments, x0
@@ -277,24 +293,16 @@ def simulate_costs(problem, control, grid, x0, increments, start_index=0):
     rollout produces, evaluated in the same float order.
     """
     _check_grid(problem, grid)
-    n, dt = grid.n_steps, grid.dt
-    nodes = grid.nodes
-    x = np.array(np.atleast_2d(x0), dtype=np.float64)
-    batch = x.shape[0]
+    x0 = np.atleast_2d(x0)
+    batch = x0.shape[0]
     increments = np.asarray(increments, dtype=np.float64)
-    if increments.shape != (batch, n - start_index, problem.m):
+    if increments.shape != (batch, grid.n_steps - start_index, problem.m):
         raise ValidationError(
             f"increments shape {increments.shape}, expected "
-            f"{(batch, n - start_index, problem.m)}")
-    path_indices = np.arange(batch)
-    costs = np.zeros(batch)
-    for i in range(start_index, n):
-        t = float(nodes[i])
-        u = np.asarray(control.evaluate(x, t), dtype=np.float64)
-        costs += dt * problem.running_cost(x, u, t)
-        x = euler_step(problem, x, u, t, dt, increments[:, i - start_index])
-        _check_finite(x, i + 1, path_indices)
-    costs += problem.terminal_cost(x)
+            f"{(batch, grid.n_steps - start_index, problem.m)}")
+    _, _, costs, x = _rollout(problem, control, grid, x0, increments,
+                              np.arange(batch), start_index,
+                              store_states=False)
     return costs, x
 
 

@@ -75,6 +75,19 @@ def test_validate_config_names_the_offending_key(mutate, fragment):
     assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_master_seed_outside_64_bits_is_refused(tmp_path, capsys, seed):
+    cfg = tmp_path / "cfg.json"
+    _write_config(cfg, master_seed=seed)
+    with pytest.raises(cli.ConfigError, match="config.master_seed"):
+        cli.load_config(cfg)
+    _write_config(cfg)
+    code = cli.main(["simulate", "--config", str(cfg), "--seed", str(seed),
+                     "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "config.master_seed" in capsys.readouterr().err
+
+
 def test_control_section_rejects_mismatched_knobs():
     base = {
         "problem": {"id": "lq",

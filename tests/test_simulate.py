@@ -1,6 +1,8 @@
 """Forward simulation: grids, noise streams, rollouts, determinism."""
 
 import csv
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -147,6 +149,90 @@ def test_draw_batch_inputs_is_range_and_worker_invariant(lq_problem, grid):
                                      workers=workers)
         np.testing.assert_array_equal(again[0], inc)
         np.testing.assert_array_equal(again[1], x0)
+
+
+def _fresh_normals(seed, path_index, stream, size):
+    key = np.array([seed, (stream << 48) | path_index], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key)).standard_normal(size)
+
+
+def _expected_inputs(grid, seed, x0_seed, paths, x0_mean, x0_std):
+    """Increments and x0 of a scalar problem, from freshly built generators."""
+    inc = np.stack([_fresh_normals(seed, p, 0, (grid.n_steps, 1))
+                    for p in paths]) * np.sqrt(grid.dt)
+    x0 = np.array([[x0_mean + x0_std * _fresh_normals(x0_seed, p, 1, None)]
+                   for p in paths])
+    return inc, x0
+
+
+@pytest.mark.parametrize("seed, start", [(3, 0), ((1 << 64) - 1, 0),
+                                         (3, (1 << 48) - 3),
+                                         ((1 << 64) - 1, (1 << 48) - 3)])
+def test_draws_match_freshly_built_generators(sg_problem, grid, seed, start):
+    """The re-keyed generator draws what a new Philox of the same key does,
+    even after it was left mid-block or holding a cached 32-bit half."""
+    from soc_lab import _rng
+    want = _expected_inputs(grid, seed, seed - 1, range(start, start + 3),
+                            1.0, 0.2)
+    for leave in (lambda gen: gen.standard_normal(3),
+                  lambda gen: gen.integers(0, 2**31, dtype=np.int32)):
+        leave(_rng._rekeyed(seed, start, _rng.BROWNIAN))
+        inc, x0 = sl.draw_batch_inputs(sg_problem, grid, seed, seed - 1,
+                                       start, start + 3)
+        np.testing.assert_array_equal(inc, want[0])
+        np.testing.assert_array_equal(x0, want[1])
+        leave(_rng._rekeyed(seed, start, _rng.INITIAL_STATE))
+        np.testing.assert_array_equal(
+            sl.sample_brownian(grid, 1, seed, start + 2).increments,
+            want[0][2])
+
+
+def test_custom_sampler_holding_its_own_generator(zero_cost_problem, grid):
+    """An initial_sampler built on philox_generator is not disturbed by the
+    shared generator the Brownian draws re-key around it."""
+    inc, x0 = sl.draw_batch_inputs(zero_cost_problem, grid, 6, 7, 10, 14)
+    want = _expected_inputs(grid, 6, 7, range(10, 14), 1.0, 0.1)
+    np.testing.assert_array_equal(inc, want[0])
+    np.testing.assert_array_equal(x0, want[1])
+
+
+def test_concurrent_draws_match_serial(lq_2d_problem, grid):
+    """Threads drawing disjoint path ranges at once each re-key their own
+    generator, so every range equals its rows of the serial draw."""
+    ranges = [(lo, lo + 300) for lo in range(0, 1500, 300)]
+    serial = sl.draw_batch_inputs(lq_2d_problem, grid, 2, 3, 0, 1500)
+    got = {}
+    barrier = threading.Barrier(len(ranges))
+
+    def draw(lo, hi):
+        barrier.wait()
+        got[lo] = sl.draw_batch_inputs(lq_2d_problem, grid, 2, 3, lo, hi)
+
+    threads = [threading.Thread(target=draw, args=r) for r in ranges]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for lo, hi in ranges:
+        np.testing.assert_array_equal(got[lo][0], serial[0][lo:hi])
+        np.testing.assert_array_equal(got[lo][1], serial[1][lo:hi])
+
+
+@pytest.mark.parametrize("seed, x0_seed, start", [
+    (1 << 64, 0, 0), (-1, 0, 0), (0, 1 << 64, 0), (0, -1, 0), (0, 0, -1),
+    (0, 0, (1 << 48) - 1)])
+def test_draw_batch_inputs_refuses_keys_that_would_wrap(lq_problem, grid,
+                                                        seed, x0_seed, start):
+    """Seed 2**64 used to replay seed 0's draws, and -1 seed 2**64 - 1's."""
+    with pytest.raises(sl.ValidationError):
+        sl.draw_batch_inputs(lq_problem, grid, seed, x0_seed, start,
+                             start + 2)
 
 
 def test_lq_euler_moments_match_exact_recursion(lq_problem, grid):
