@@ -42,7 +42,8 @@ import numpy as np
 
 from . import _io
 from .errors import UnsupportedProblemError, ValidationError
-from .simulate import TimeGrid, Trajectory, TrajectoryBatch, _time_major
+from .simulate import (TimeGrid, Trajectory, TrajectoryBatch, _non_finite,
+                       _time_major)
 
 LEAN = "lean"
 FULL = "full"
@@ -164,6 +165,73 @@ def _batch_view(traj):
                           f"got {type(traj).__name__}")
 
 
+def _aligned(container, traj, name, attr="values"):
+    """`container.<attr>` as (B, n_steps+1, ...), one path lifted to B = 1.
+
+    Raises ValidationError unless it was solved on `traj`'s grid and holds
+    exactly one entry per path of `traj`.
+    """
+    if isinstance(container, (AdjointPath, MatrixAdjointPath,
+                              PropagatorPath)):
+        values = getattr(container, attr)[None]
+    elif isinstance(container, (AdjointBatch, MatrixAdjointBatch,
+                                PropagatorBatch)):
+        values = getattr(container, attr)
+    else:
+        raise ValidationError(f"{name} must be an adjoint or propagator "
+                              f"path or batch, got {type(container).__name__}")
+    n_paths = len(traj) if isinstance(traj, TrajectoryBatch) else 1
+    want = (n_paths, traj.grid.n_steps + 1)
+    if values.shape[:2] != want or container.grid != traj.grid:
+        raise ValidationError(
+            f"{name} {values.shape} on {container.grid} do not align with "
+            f"{n_paths} path(s) on {traj.grid}")
+    return values
+
+
+def _finished(solver, traj, single, values, out):
+    """`out` (its one path when `single`), once its `values` are finite.
+
+    Checked once after the sweep; a non-finite value raises
+    SimulationError at the first bad node in backward order.
+    """
+    # min and max see every nan and inf without a full-size temporary
+    if np.isfinite(values.min()) and np.isfinite(values.max()):
+        return out[0] if single else out
+    bad = ~np.isfinite(values).reshape(values.shape[:2] + (-1,)).all(axis=2)
+    i = int(np.flatnonzero(bad.any(axis=0))[-1])
+    path = (traj.noise.path_index if single
+            else int(traj.path_indices[np.argmax(bad[:, i])]))
+    raise _non_finite(solver, i, path)
+
+
+def _frozen_steps(control, traj_batch):
+    """Walk a frozen batch: (i, t_i, X_i, u, du_dtheta) for i < n_steps.
+
+    States stay as stored; u = control.evaluate(X_i, t_i) and its
+    parameter Jacobian are re-evaluated at the control's current theta.
+    """
+    grid, states, _, _, _ = _batch_view(traj_batch)
+    for i, t in enumerate(grid.nodes[:-1].tolist()):
+        x = states[:, i]
+        u = control.evaluate(x, t)
+        du_dtheta, _ = control.jacobians(x, t)
+        yield i, t, x, u, du_dtheta
+
+
+def _lean_hamiltonian(problem, x, u, t, a):
+    """Per-path f + <b, a>."""
+    return (problem.running_cost(x, u, t)
+            + np.einsum("bi,bi->b", problem.drift(x, u, t), a))
+
+
+def _lean_u_gradient(problem, x, u, t, a):
+    """Per-path d(f + <b, a>)/du = d2_cost + d2_drift' a."""
+    bundle = problem.derivatives
+    return (np.asarray(bundle.d2_cost(x, u, t), dtype=np.float64)
+            + np.einsum("bic,bi->bc", bundle.d2_drift(x, u, t), a))
+
+
 def _step_point(states, controls, nodes, i):
     """(x, u, t) coefficients for the backward step i+1 -> i.
 
@@ -196,8 +264,8 @@ def solve_lean_adjoint(problem, control, traj):
         src = bundle.d1_cost(x, u, t)
         a = a + dt * (np.einsum("bip,bi->bp", jac, a) + src)
         values[:, i] = a
-    out = AdjointBatch(grid, values, LEAN)
-    return out[0] if single else out
+    return _finished("lean adjoint", traj, single, values,
+                     AdjointBatch(grid, values, LEAN))
 
 
 def _total_first_order(problem, control, x, u, t):
@@ -251,7 +319,7 @@ def solve_first_order_adjoint(problem, control, traj, h_term=None):
              + np.einsum("bjp,bj->bp", c, increments[:, i]))
         values[:, i] = a
     out = AdjointBatch(grid, values, FULL_WITH_H if h_term is not None else FULL)
-    return out[0] if single else out
+    return _finished(f"{out.kind} adjoint", traj, single, values, out)
 
 
 def _total_hessian(lead, xx, xu, uu, du_dx):
@@ -316,11 +384,7 @@ def solve_second_order_adjoint(problem, control, traj, first):
             f"the matrix adjoint assembles total derivatives only for "
             f"affine-in-x families")
     grid, states, controls, increments, single = _batch_view(traj)
-    first_values = first.values if hasattr(first, "values") else None
-    if first_values is None:
-        raise ValidationError("first must be an AdjointBatch or AdjointPath")
-    if first_values.ndim == 2:
-        first_values = first_values[None]
+    first_values = _aligned(first, traj, "first")
     bundle = problem.derivatives
     n, dt = grid.n_steps, grid.dt
     nodes = grid.nodes
@@ -353,8 +417,8 @@ def solve_second_order_adjoint(problem, control, traj, first):
                  + np.einsum("bjpq,bj->bpq", u_noise, increments[:, i]))
         a_mat = 0.5 * (a_mat + a_mat.transpose(0, 2, 1))
         values[:, i] = a_mat
-    out = MatrixAdjointBatch(grid, values)
-    return out[0] if single else out
+    return _finished("second-order adjoint", traj, single, values,
+                     MatrixAdjointBatch(grid, values))
 
 
 def fundamental_matrix(problem, control, traj):
@@ -378,8 +442,8 @@ def fundamental_matrix(problem, control, traj):
         jac = np.asarray(bundle.d1_drift(x, u, t), dtype=np.float64)
         phi = np.einsum("bij,bjk->bik", phi, eye + dt * jac)
         mats[:, i] = phi
-    out = PropagatorBatch(grid, mats)
-    return out[0] if single else out
+    return _finished("fundamental matrix", traj, single, mats,
+                     PropagatorBatch(grid, mats))
 
 
 def feynman_kac_lean(problem, control, traj, propagators):
@@ -391,9 +455,7 @@ def feynman_kac_lean(problem, control, traj, propagators):
     accumulated step by step).
     """
     grid, states, controls, _, single = _batch_view(traj)
-    mats = propagators.matrices
-    if mats.ndim == 3:
-        mats = mats[None]
+    mats = _aligned(propagators, traj, "propagators", "matrices")
     bundle = problem.derivatives
     n, dt = grid.n_steps, grid.dt
     nodes = grid.nodes
@@ -413,8 +475,8 @@ def feynman_kac_lean(problem, control, traj, propagators):
                 f"singular propagator matrix at step {i}; the linearized "
                 f"flow is not invertible on this path")
         values[:, i] = np.einsum("bji,bj->bi", mats[:, i], g_n + c_run)
-    out = AdjointBatch(grid, values, LEAN)
-    return out[0] if single else out
+    return _finished("Feynman-Kac lean adjoint", traj, single, values,
+                     AdjointBatch(grid, values, LEAN))
 
 
 def theta_gradient_via_adjoint(problem, control, traj, adjoint):
@@ -431,23 +493,16 @@ def theta_gradient_via_adjoint(problem, control, traj, adjoint):
     for a batch.
     """
     grid, states, controls, increments, single = _batch_view(traj)
-    values = adjoint.values if hasattr(adjoint, "values") else None
-    if values is None:
-        raise ValidationError("adjoint must be an AdjointBatch or AdjointPath")
-    if values.ndim == 2:
-        values = values[None]
+    values = _aligned(adjoint, traj, "adjoint")
     bundle = problem.derivatives
     n, dt = grid.n_steps, grid.dt
     nodes = grid.nodes
     grad = np.zeros((states.shape[0], control.n_params))
     for i in range(n):
-        x = states[:, i]
-        u = controls[:, i]
-        t = float(nodes[i])
+        x, u, t = _step_point(states, controls, nodes, i)
         a_next = values[:, i + 1]
         du_dtheta, _ = control.jacobians(x, t)
-        v = dt * (np.asarray(bundle.d2_cost(x, u, t), dtype=np.float64)
-                  + np.einsum("bic,bi->bc", bundle.d2_drift(x, u, t), a_next))
+        v = dt * _lean_u_gradient(problem, x, u, t, a_next)
         v = v + np.einsum("bjic,bi,bj->bc", bundle.dsigma_du(x, u, t),
                           a_next, increments[:, i])
         grad += np.einsum("bcp,bc->bp", du_dtheta, v)

@@ -426,11 +426,9 @@ def _fd_check_grid(problem):
                     horizon=problem.horizon)
 
 
-def _check_adjoint_vs_fd(problem, control, grid, seed, params, out_file,
-                         workers):
+def _check_adjoint_vs_fd(problem, control, grid, seed, params, out_file):
     fine = _fd_check_grid(problem)
-    batch = simulate_batch(problem, control, fine, seed,
-                           params["probe_paths"], workers=workers)
+    batch = simulate_batch(problem, control, fine, seed, params["probe_paths"])
     full = solve_first_order_adjoint(problem, control, batch)
     rows = []
     worst = 0.0
@@ -445,11 +443,9 @@ def _check_adjoint_vs_fd(problem, control, grid, seed, params, out_file,
     return worst <= 1e-3, f"max rel err {worst:.3e} (gate 1e-3)"
 
 
-def _check_hessian_vs_fd(problem, control, grid, seed, params, out_file,
-                         workers):
+def _check_hessian_vs_fd(problem, control, grid, seed, params, out_file):
     fine = _fd_check_grid(problem)
-    batch = simulate_batch(problem, control, fine, seed,
-                           params["probe_paths"], workers=workers)
+    batch = simulate_batch(problem, control, fine, seed, params["probe_paths"])
     full = solve_first_order_adjoint(problem, control, batch)
     second = solve_second_order_adjoint(problem, control, batch, full)
     rows = []
@@ -465,8 +461,7 @@ def _check_hessian_vs_fd(problem, control, grid, seed, params, out_file,
     return worst <= 1e-2, f"max rel err {worst:.3e} (gate 1e-2)"
 
 
-def _check_first_variation(problem, control, grid, seed, params, out_file,
-                           workers):
+def _check_first_variation(problem, control, grid, seed, params, out_file):
     """Matching-loss gradient vs direct objective gradient, 3 combined SE.
 
     The loss side pairs the integrated-Hamiltonian gradient with the
@@ -475,8 +470,7 @@ def _check_first_variation(problem, control, grid, seed, params, out_file,
     both sides share the same simulated batch.
     """
     n_paths = params["n_paths"]
-    batch = simulate_batch(problem, control, grid, seed, n_paths,
-                           workers=workers)
+    batch = simulate_batch(problem, control, grid, seed, n_paths)
     full = solve_first_order_adjoint(problem, control, batch)
     g_am = per_path_lean_am_gradients(problem, control, batch, full)
     g_dir = theta_gradient_via_adjoint(problem, control, batch, full)
@@ -498,12 +492,11 @@ def _check_first_variation(problem, control, grid, seed, params, out_file,
     return ok, "componentwise gap vs 3 combined SE"
 
 
-def _check_sigma_collapse(problem, control, grid, seed, params, out_file,
-                          workers):
+def _check_sigma_collapse(problem, control, grid, seed, params, out_file):
     if not problem.diffusion_time_only:
         return False, "problem diffusion depends on state or control"
     batch = simulate_batch(problem, control, grid, seed,
-                           min(params["n_paths"], 2048), workers=workers)
+                           min(params["n_paths"], 2048))
     lean = solve_lean_adjoint(problem, control, batch)
     frozen = freeze_control(control)
     full = solve_first_order_adjoint(problem, frozen, batch)
@@ -519,9 +512,8 @@ def _check_sigma_collapse(problem, control, grid, seed, params, out_file,
     return rel <= 1e-12, f"gradient gap {rel:.3e} (gate 1e-12)"
 
 
-def _check_feynman_kac(problem, control, grid, seed, params, out_file,
-                       workers):
-    batch = simulate_batch(problem, control, grid, seed, 16, workers=workers)
+def _check_feynman_kac(problem, control, grid, seed, params, out_file):
+    batch = simulate_batch(problem, control, grid, seed, 16)
     lean = solve_lean_adjoint(problem, control, batch)
     props = fundamental_matrix(problem, control, batch)
     recon = feynman_kac_lean(problem, control, batch, props)
@@ -532,23 +524,20 @@ def _check_feynman_kac(problem, control, grid, seed, params, out_file,
     return rel <= 1e-10, f"max rel gap {rel:.3e} (gate 1e-10)"
 
 
-def _check_smp_representation(problem, control, grid, seed, params, out_file,
-                              workers):
+def _check_smp_representation(problem, control, grid, seed, params, out_file):
     report = smp_representation_check(problem, grid, params["n_paths"], seed)
     report.to_csv(out_file)
     return report.passed, f"max |z| {report.max_abs_z:.2f} (gate 3)"
 
 
-def _check_memorylessness(problem, control, grid, seed, params, out_file,
-                          workers):
+def _check_memorylessness(problem, control, grid, seed, params, out_file):
     report = memorylessness_check(problem, grid, params["n_paths"], seed)
     report.to_csv(out_file)
     return report.passed, (f"max |corr| {report.max_abs_corr:.4f} "
                            f"(gate {report.threshold:.4f})")
 
 
-def _check_hjb_residual(problem, control, grid, seed, params, out_file,
-                        workers):
+def _check_hjb_residual(problem, control, grid, seed, params, out_file):
     horizon = problem.horizon
     if problem.lq_data is not None:
         value_fn = LQValueFunction(problem)
@@ -587,7 +576,7 @@ _CHECKS = {
 # subcommands
 
 
-def cmd_check(cfg, out_dir, workers):
+def cmd_check(cfg, out_dir):
     problem = build_problem(cfg)
     seed = cfg["master_seed"]
     try:
@@ -603,7 +592,7 @@ def cmd_check(cfg, out_dir, workers):
         out_file = out_dir / f"check_{name}.csv"
         try:
             passed, detail = _CHECKS[name](problem, control, grid, seed,
-                                           params, out_file, workers)
+                                           params, out_file)
         except SocLabError as exc:
             passed, detail = False, str(exc)
         logger.info("check %s: %s (%s)", name,
@@ -615,7 +604,7 @@ def cmd_check(cfg, out_dir, workers):
     return 1 if failures else 0
 
 
-def cmd_train(cfg, out_dir, workers):
+def cmd_train(cfg, out_dir):
     problem = build_problem(cfg)
     grid = build_grid(cfg, problem)
     control = build_control(cfg, problem)
@@ -627,7 +616,7 @@ def cmd_train(cfg, out_dir, workers):
             loss_kind=tc["loss_kind"],
             resample_noise_each_iter=tc["resample_noise_each_iter"],
             trust_region_radius=tc["trust_region_radius"],
-            msa_exact=tc["msa_exact"], workers=workers)
+            msa_exact=tc["msa_exact"])
     except ValidationError as exc:
         raise ConfigError(f"train: {exc}")
     try:
@@ -642,17 +631,17 @@ def cmd_train(cfg, out_dir, workers):
     return 0
 
 
-def cmd_simulate(cfg, out_dir, workers):
+def cmd_simulate(cfg, out_dir):
     problem = build_problem(cfg)
     grid = build_grid(cfg, problem)
     control = build_control(cfg, problem)
     batch = simulate_batch(problem, control, grid, cfg["master_seed"],
-                           cfg["simulate"]["n_paths"], workers=workers)
+                           cfg["simulate"]["n_paths"])
     write_trajectories_csv(batch, out_dir / "trajectories.csv")
     return 0
 
 
-def cmd_report(cfg, out_dir, workers, checkpoint):
+def cmd_report(cfg, out_dir, checkpoint):
     problem = build_problem(cfg)
     grid = build_grid(cfg, problem)
     path = pathlib.Path(checkpoint) if checkpoint else out_dir / "checkpoint.json"
@@ -660,7 +649,7 @@ def cmd_report(cfg, out_dir, workers, checkpoint):
         raise ConfigError(f"checkpoint not found: {path}")
     control = load_control(path)
     metrics = evaluate_checkpoint(problem, control, grid, cfg["master_seed"],
-                                  cfg["report"]["n_paths"], workers=workers)
+                                  cfg["report"]["n_paths"])
     write_metrics_csv(metrics, out_dir / "metrics.csv")
     return 0
 
@@ -700,12 +689,12 @@ def main(argv=None):
         out_dir = pathlib.Path(args.out if args.out else cfg["out_dir"])
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "check":
-            return cmd_check(cfg, out_dir, args.workers)
+            return cmd_check(cfg, out_dir)
         if args.command == "train":
-            return cmd_train(cfg, out_dir, args.workers)
+            return cmd_train(cfg, out_dir)
         if args.command == "simulate":
-            return cmd_simulate(cfg, out_dir, args.workers)
-        return cmd_report(cfg, out_dir, args.workers, args.checkpoint)
+            return cmd_simulate(cfg, out_dir)
+        return cmd_report(cfg, out_dir, args.checkpoint)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

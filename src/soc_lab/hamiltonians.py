@@ -11,10 +11,13 @@ Pointwise Hamiltonians (diagnostics, closed-form optima, PDE residuals):
 Surrogate losses evaluate a frozen batch (trajectories + adjoints) at the
 *current* parameters of a control: only the re-evaluated u_theta(X_i, t_i)
 carries parameter dependence; states, noise, and adjoints stay fixed.
-Each loss returns a LossReport whose loss_value is exactly
-dt * sum(per_time_terms) (per_time_terms[i] = path average of the i-th
-integrand) and whose grad_theta is the analytic parameter gradient of
-loss_value for the same frozen batch.
+The losses, the per-path lean-AM gradients and the MSA step share one
+walk over the frozen batch (`adjoint._frozen_steps`), one alignment check
+of the stored values (`adjoint._aligned`), and one copy each of the lean
+Hamiltonian f + <b, a> and its u-gradient. Each loss returns a LossReport
+whose loss_value is exactly dt * sum(per_time_terms) (per_time_terms[i] =
+path average of the i-th integrand) and whose grad_theta is the analytic
+parameter gradient of loss_value for the same frozen batch.
 
 `soc_objective` estimates the true discrete control cost on fresh paths
 and reports (mean, standard error).
@@ -28,6 +31,8 @@ import math
 import numpy as np
 
 from . import _io
+from .adjoint import (_aligned, _frozen_steps, _lean_hamiltonian,
+                      _lean_u_gradient)
 from .errors import UnsupportedProblemError, ValidationError
 from .simulate import draw_batch_inputs, simulate_costs
 
@@ -53,8 +58,7 @@ def hamiltonian_full(problem, x, u, t, costate, curvature):
     if m_mat.ndim == 2:
         m_mat = m_mat[None]
     sigma = problem.diffusion(x, u, t)
-    value = (problem.running_cost(x, u, t)
-             + np.einsum("bi,bi->b", problem.drift(x, u, t), p)
+    value = (_lean_hamiltonian(problem, x, u, t, p)
              + 0.5 * np.einsum("bij,bej,bie->b", sigma, sigma, m_mat))
     return float(value[0]) if single else value
 
@@ -63,8 +67,7 @@ def hamiltonian_lean(problem, x, u, t, costate):
     """f + <b, p>: the control-relevant Hamiltonian when sigma is u-free."""
     x, u, single = _point(problem, x, u)
     p = np.atleast_2d(np.asarray(costate, dtype=np.float64))
-    value = (problem.running_cost(x, u, t)
-             + np.einsum("bi,bi->b", problem.drift(x, u, t), p))
+    value = _lean_hamiltonian(problem, x, u, t, p)
     return float(value[0]) if single else value
 
 
@@ -75,8 +78,7 @@ def hamiltonian_smp(problem, x, u, t, costate, noise_costate):
     q = np.asarray(noise_costate, dtype=np.float64)
     if q.ndim == 2:
         q = q[None]
-    value = (problem.running_cost(x, u, t)
-             + np.einsum("bi,bi->b", problem.drift(x, u, t), p)
+    value = (_lean_hamiltonian(problem, x, u, t, p)
              + np.einsum("bij,bij->b", problem.diffusion(x, u, t), q))
     return float(value[0]) if single else value
 
@@ -90,8 +92,7 @@ def hamiltonian_generalized(problem, x, u, t, costate, curvature, u_ref):
     if m_mat.ndim == 2:
         m_mat = m_mat[None]
     gap = problem.diffusion(x, u, t) - problem.diffusion(x, u_ref, t)
-    value = (problem.running_cost(x, u, t)
-             + np.einsum("bi,bi->b", problem.drift(x, u, t), p)
+    value = (_lean_hamiltonian(problem, x, u, t, p)
              + 0.5 * np.einsum("bij,bej,bie->b", gap, gap, m_mat))
     return float(value[0]) if single else value
 
@@ -111,16 +112,23 @@ class LossReport:
         return float(np.linalg.norm(self.grad_theta))
 
 
-def _loss_inputs(traj_batch, adjoints):
-    states = traj_batch.states
-    values = adjoints.values
-    if values.ndim == 2:
-        values = values[None]
-    if values.shape[:2] != states.shape[:2]:
-        raise ValidationError(
-            f"adjoint values {values.shape} do not align with states "
-            f"{states.shape}")
-    return states, values
+def _walk_loss(kind, control, traj_batch, adjoints, step):
+    """LossReport of a per-step integrand on the frozen-batch walk.
+
+    step(i, t, x, u, a_i) returns the per-path integrand at node i and its
+    derivative in u; the walk chains the latter through du/dtheta.
+    """
+    avals = _aligned(adjoints, traj_batch, "adjoints")
+    dt = traj_batch.grid.dt
+    per_time = np.empty(traj_batch.grid.n_steps)
+    grad = np.zeros(control.n_params)
+    for i, t, x, u, du_dtheta in _frozen_steps(control, traj_batch):
+        value, v = step(i, t, x, u, avals[:, i])
+        per_time[i] = value.mean()
+        grad += dt * np.einsum("bcp,bc->bp", du_dtheta, v).mean(axis=0)
+    return LossReport(kind=kind, loss_value=float(dt * per_time.sum()),
+                      grad_theta=grad, per_time_terms=per_time,
+                      n_paths=avals.shape[0])
 
 
 def lean_am_loss(problem, control, traj_batch, lean_adjoints):
@@ -130,28 +138,11 @@ def lean_am_loss(problem, control, traj_batch, lean_adjoints):
     with u = control.evaluate(X_i, t_i); gradient
     dt * sum_i mean_b [ du_dtheta' (d2_cost + d2_drift' a_i) ].
     """
-    states, avals = _loss_inputs(traj_batch, lean_adjoints)
-    bundle = problem.derivatives
-    grid = traj_batch.grid
-    n, dt = grid.n_steps, grid.dt
-    nodes = grid.nodes
-    per_time = np.empty(n)
-    grad = np.zeros(control.n_params)
-    for i in range(n):
-        x = states[:, i]
-        t = float(nodes[i])
-        a = avals[:, i]
-        u = control.evaluate(x, t)
-        du_dtheta, _ = control.jacobians(x, t)
-        ham = (problem.running_cost(x, u, t)
-               + np.einsum("bi,bi->b", problem.drift(x, u, t), a))
-        per_time[i] = ham.mean()
-        v = (np.asarray(bundle.d2_cost(x, u, t), dtype=np.float64)
-             + np.einsum("bic,bi->bc", bundle.d2_drift(x, u, t), a))
-        grad += dt * np.einsum("bcp,bc->bp", du_dtheta, v).mean(axis=0)
-    return LossReport(kind="lean_am", loss_value=float(dt * per_time.sum()),
-                      grad_theta=grad, per_time_terms=per_time,
-                      n_paths=len(traj_batch))
+    def step(i, t, x, u, a):
+        return (_lean_hamiltonian(problem, x, u, t, a),
+                _lean_u_gradient(problem, x, u, t, a))
+
+    return _walk_loss("lean_am", control, traj_batch, lean_adjoints, step)
 
 
 def bam_loss(problem, control, traj_batch, adjoints, matrix_adjoints):
@@ -161,37 +152,19 @@ def bam_loss(problem, control, traj_batch, adjoints, matrix_adjoints):
     component to the gradient; it vanishes identically when sigma ignores
     u, making the gradient equal to the lean one on the same inputs.
     """
-    states, avals = _loss_inputs(traj_batch, adjoints)
-    mvals = matrix_adjoints.values
-    if mvals.ndim == 3:
-        mvals = mvals[None]
-    bundle = problem.derivatives
-    grid = traj_batch.grid
-    n, dt = grid.n_steps, grid.dt
-    nodes = grid.nodes
-    per_time = np.empty(n)
-    grad = np.zeros(control.n_params)
-    for i in range(n):
-        x = states[:, i]
-        t = float(nodes[i])
-        a = avals[:, i]
+    def step(i, t, x, u, a):
         a_mat = mvals[:, i]
-        u = control.evaluate(x, t)
-        du_dtheta, _ = control.jacobians(x, t)
         sigma = problem.diffusion(x, u, t)
-        ham = (problem.running_cost(x, u, t)
-               + np.einsum("bi,bi->b", problem.drift(x, u, t), a)
+        ham = (_lean_hamiltonian(problem, x, u, t, a)
                + 0.5 * np.einsum("bij,bej,bie->b", sigma, sigma, a_mat))
-        per_time[i] = ham.mean()
-        v = (np.asarray(bundle.d2_cost(x, u, t), dtype=np.float64)
-             + np.einsum("bic,bi->bc", bundle.d2_drift(x, u, t), a))
         a_sigma = np.einsum("bde,bej->bdj", a_mat, sigma)
-        v = v + np.einsum("bdj,bjdc->bc", a_sigma,
-                          bundle.dsigma_du(x, u, t))
-        grad += dt * np.einsum("bcp,bc->bp", du_dtheta, v).mean(axis=0)
-    return LossReport(kind="bam", loss_value=float(dt * per_time.sum()),
-                      grad_theta=grad, per_time_terms=per_time,
-                      n_paths=len(traj_batch))
+        v = (_lean_u_gradient(problem, x, u, t, a)
+             + np.einsum("bdj,bjdc->bc", a_sigma,
+                         problem.derivatives.dsigma_du(x, u, t)))
+        return ham, v
+
+    mvals = _aligned(matrix_adjoints, traj_batch, "matrix_adjoints")
+    return _walk_loss("bam", control, traj_batch, adjoints, step)
 
 
 def per_path_lean_am_gradients(problem, control, traj_batch, lean_adjoints):
@@ -202,20 +175,11 @@ def per_path_lean_am_gradients(problem, control, traj_batch, lean_adjoints):
     errors to the loss gradient when comparing it against the direct
     objective gradient on the same batch.
     """
-    states, avals = _loss_inputs(traj_batch, lean_adjoints)
-    bundle = problem.derivatives
-    grid = traj_batch.grid
-    n, dt = grid.n_steps, grid.dt
-    nodes = grid.nodes
-    grads = np.zeros((states.shape[0], control.n_params))
-    for i in range(n):
-        x = states[:, i]
-        t = float(nodes[i])
-        a = avals[:, i]
-        u = control.evaluate(x, t)
-        du_dtheta, _ = control.jacobians(x, t)
-        v = (np.asarray(bundle.d2_cost(x, u, t), dtype=np.float64)
-             + np.einsum("bic,bi->bc", bundle.d2_drift(x, u, t), a))
+    avals = _aligned(lean_adjoints, traj_batch, "lean_adjoints")
+    dt = traj_batch.grid.dt
+    grads = np.zeros((avals.shape[0], control.n_params))
+    for i, t, x, u, du_dtheta in _frozen_steps(control, traj_batch):
+        v = _lean_u_gradient(problem, x, u, t, avals[:, i])
         grads += dt * np.einsum("bcp,bc->bp", du_dtheta, v)
     return grads
 
@@ -228,33 +192,19 @@ def quadratic_am_loss(problem, control, traj_batch, lean_adjoints):
     through the diffusion matrix), its gradient coincides with the lean-AM
     gradient exactly, not just in expectation.
     """
-    if not (problem.diffusion_time_only and problem.control_affine_quadratic):
+    if not (problem.diffusion_time_only and problem.control_affine_quadratic
+            and problem.k == problem.m):
         raise UnsupportedProblemError(
-            "quadratic_am_loss needs diffusion_time_only and "
-            "control_affine_quadratic problems")
-    if problem.k != problem.m:
-        raise UnsupportedProblemError(
-            f"quadratic_am_loss needs k == m, got k={problem.k}, m={problem.m}")
-    states, avals = _loss_inputs(traj_batch, lean_adjoints)
-    grid = traj_batch.grid
-    n, dt = grid.n_steps, grid.dt
-    nodes = grid.nodes
-    per_time = np.empty(n)
-    grad = np.zeros(control.n_params)
-    for i in range(n):
-        x = states[:, i]
-        t = float(nodes[i])
-        a = avals[:, i]
-        u = control.evaluate(x, t)
-        du_dtheta, _ = control.jacobians(x, t)
-        sigma = problem.diffusion(x, u, t)
-        resid = u + np.einsum("bic,bi->bc", sigma, a)
-        per_time[i] = (0.5 * np.einsum("bk,bk->b", resid, resid)).mean()
-        grad += dt * np.einsum("bcp,bc->bp", du_dtheta, resid).mean(axis=0)
-    return LossReport(kind="quadratic_am",
-                      loss_value=float(dt * per_time.sum()),
-                      grad_theta=grad, per_time_terms=per_time,
-                      n_paths=len(traj_batch))
+            f"quadratic_am_loss needs a diffusion_time_only, "
+            f"control_affine_quadratic problem with k == m, "
+            f"got k={problem.k}, m={problem.m}")
+
+    def step(i, t, x, u, a):
+        resid = u + np.einsum("bic,bi->bc", problem.diffusion(x, u, t), a)
+        return 0.5 * np.einsum("bk,bk->b", resid, resid), resid
+
+    return _walk_loss("quadratic_am", control, traj_batch, lean_adjoints,
+                      step)
 
 
 def sample_pathwise_costs(problem, control, grid, master_seed, n_paths,
@@ -262,7 +212,7 @@ def sample_pathwise_costs(problem, control, grid, master_seed, n_paths,
     """Fresh pathwise costs and terminal states, simulated in path blocks.
 
     Blocking only bounds memory; per-path counter RNG makes the result
-    independent of block size.
+    independent of block size. `workers` is accepted and ignored.
     """
     if n_paths < 1:
         raise ValidationError(f"n_paths must be >= 1, got {n_paths}")
@@ -273,7 +223,7 @@ def sample_pathwise_costs(problem, control, grid, master_seed, n_paths,
     for start in range(0, n_paths, block_size):
         stop = min(start + block_size, n_paths)
         inc, x0 = draw_batch_inputs(problem, grid, master_seed, x0_seed,
-                                    start, stop, workers)
+                                    start, stop)
         c, x_t = simulate_costs(problem, control, grid, x0, inc)
         costs[start:stop] = c
         terminal[start:stop] = x_t
@@ -282,9 +232,10 @@ def sample_pathwise_costs(problem, control, grid, master_seed, n_paths,
 
 def soc_objective(problem, control, grid, master_seed, n_paths,
                   x0_seed=None, workers=None):
-    """Monte-Carlo estimate of the discrete control cost: (mean, std error)."""
+    """Monte-Carlo estimate of the discrete control cost: (mean, std error);
+    `workers` is accepted and ignored."""
     costs, _ = sample_pathwise_costs(problem, control, grid, master_seed,
-                                     n_paths, x0_seed=x0_seed, workers=workers)
+                                     n_paths, x0_seed=x0_seed)
     se = float(costs.std(ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
     return float(costs.mean()), se
 

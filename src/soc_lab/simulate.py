@@ -163,16 +163,18 @@ def _check_grid(problem, grid):
             f"grid horizon {grid.horizon} != problem horizon {problem.horizon}")
 
 
+def _non_finite(what, step_index, path_index):
+    """The SimulationError for `what` (a state, an adjoint) at one node."""
+    return SimulationError(
+        f"{what} became non-finite at step {step_index} (path {path_index})",
+        step_index=step_index, path_index=path_index)
+
+
 def _check_finite(x, step_index, path_indices):
     ok = np.isfinite(x).all(axis=1)
     if not ok.all():
-        bad = int(np.argmin(ok))
-        raise SimulationError(
-            f"state became non-finite at step {step_index} "
-            f"(path {int(path_indices[bad])})",
-            step_index=step_index,
-            path_index=int(path_indices[bad]),
-        )
+        raise _non_finite("state", step_index,
+                          int(path_indices[int(np.argmin(ok))]))
 
 
 def _rollout(problem, control, grid, x0, increments, path_indices,
@@ -273,7 +275,7 @@ def simulate_batch(problem, control, grid, master_seed, n_paths,
     if x0_seed is None:
         x0_seed = master_seed
     increments, x0 = draw_batch_inputs(problem, grid, master_seed, x0_seed,
-                                       0, n_paths, workers)
+                                       0, n_paths)
     path_indices = np.arange(n_paths)
     states, controls, costs, _ = _rollout(problem, control, grid, x0,
                                           increments, path_indices)

@@ -9,9 +9,9 @@ quadratic-ish landscape; resampling the batch every iteration (default)
 turns this into stochastic descent on the surrogate objective.
 
 `msa_exact` replaces the gradient step for linear-in-parameter families by
-the exact minimizer of the quadratic surrogate (a weighted least-squares
-solve), the classic alternating scheme: simulate, solve adjoints, fit the
-control, repeat.
+`msa_exact_step`, which solves for the theta at which the lean-AM gradient
+on the batch vanishes (control-affine-quadratic problems only): simulate,
+solve adjoints, fit the control, repeat.
 """
 
 from __future__ import annotations
@@ -24,9 +24,11 @@ from typing import Optional
 import numpy as np
 
 from . import _io
-from .adjoint import (freeze_control, solve_first_order_adjoint,
-                      solve_lean_adjoint, solve_second_order_adjoint)
-from .errors import TrainingAborted, UnsupportedProblemError, ValidationError
+from .adjoint import (_aligned, _frozen_steps, freeze_control,
+                      solve_first_order_adjoint, solve_lean_adjoint,
+                      solve_second_order_adjoint)
+from .errors import (SimulationError, TrainingAborted,
+                     UnsupportedProblemError, ValidationError)
 from .hamiltonians import (bam_loss, lean_am_loss, quadratic_am_loss,
                            sample_pathwise_costs)
 from .simulate import simulate_batch
@@ -118,34 +120,28 @@ def _solve_loss(problem, control, batch, loss_kind):
 
 
 def msa_exact_step(problem, control, traj_batch, lean_adjoints):
-    """Exact minimizer of the quadratic surrogate for linear families.
+    """Solve for the theta at which the lean-AM gradient on the batch vanishes.
 
-    Solves min_theta sum_i dt * mean_b |u_theta(X_i,t_i) + sigma(t_i)' a_i|^2
-    via the normal equations; falls back to the pseudoinverse (with a
-    warning) when they are singular or near-singular. Returns the new
-    parameter vector.
+    Control-affine-quadratic problems only, where f + <b, a> is minimized
+    over u by u = -d2_drift' a; for linear families the zero is the fit
+    min_theta sum_i dt * mean_b |u_theta(X_i,t_i) + d2_drift_i' a_i|^2 by
+    the normal equations, or their pseudoinverse (with a warning) when
+    they are near-singular. Returns the new parameter vector.
     """
     if control.family not in ("linear_feedback", "feature_linear"):
         raise UnsupportedProblemError(
             f"msa_exact_step needs a linear-in-parameters family, "
             f"got {control.family!r}")
-    if problem.k != problem.m:
+    if not problem.control_affine_quadratic:
         raise UnsupportedProblemError(
-            f"msa_exact_step needs k == m, got k={problem.k}, m={problem.m}")
-    grid = traj_batch.grid
-    states = traj_batch.states
-    avals = lean_adjoints.values
-    n, dt = grid.n_steps, grid.dt
-    nodes = grid.nodes
-    n_params = control.n_params
-    normal = np.zeros((n_params, n_params))
-    rhs = np.zeros(n_params)
-    for i in range(n):
-        x = states[:, i]
-        t = float(nodes[i])
-        du_dtheta, _ = control.jacobians(x, t)
-        sigma = problem.diffusion(x, control.evaluate(x, t), t)
-        target = -np.einsum("bic,bi->bc", sigma, avals[:, i])
+            "msa_exact_step needs a control_affine_quadratic problem")
+    avals = _aligned(lean_adjoints, traj_batch, "lean_adjoints")
+    dt = traj_batch.grid.dt
+    normal = np.zeros((control.n_params, control.n_params))
+    rhs = np.zeros(control.n_params)
+    for i, t, x, u, du_dtheta in _frozen_steps(control, traj_batch):
+        target = -np.einsum("bic,bi->bc",
+                            problem.derivatives.d2_drift(x, u, t), avals[:, i])
         normal += dt * np.einsum("bcp,bcq->pq", du_dtheta, du_dtheta)
         rhs += dt * np.einsum("bcp,bc->p", du_dtheta, target)
     cond = np.linalg.cond(normal)
@@ -160,8 +156,9 @@ def train_adjoint_matching(problem, control, grid, config):
     """Run the training loop; returns (trained control, TrainHistory).
 
     Aborts (TrainingAborted, carrying the partial history) on a non-finite
-    loss or gradient or once the loss exceeds 1e6. The recorded objective
-    is the batch estimate under the pre-update control of that iteration.
+    adjoint, loss or gradient or once the loss exceeds 1e6. The recorded
+    objective is the batch estimate under the pre-update control of that
+    iteration.
     """
     history = TrainHistory(records=[])
 
@@ -175,12 +172,16 @@ def train_adjoint_matching(problem, control, grid, config):
         seed = (config.master_seed + it if config.resample_noise_each_iter
                 else config.master_seed)
         batch = simulate_batch(problem, control, grid, seed,
-                               config.paths_per_iter, workers=config.workers)
+                               config.paths_per_iter)
         costs = batch.pathwise_costs
         objective = float(costs.mean())
         objective_se = (float(costs.std(ddof=1) / math.sqrt(len(costs)))
                         if len(costs) > 1 else 0.0)
-        report, lean = _solve_loss(problem, control, batch, config.loss_kind)
+        try:
+            report, lean = _solve_loss(problem, control, batch,
+                                       config.loss_kind)
+        except SimulationError as exc:
+            abort(it, str(exc))
         if not math.isfinite(report.loss_value):
             abort(it, f"non-finite loss {report.loss_value!r}")
         if not np.all(np.isfinite(report.grad_theta)):
@@ -209,10 +210,10 @@ def train_adjoint_matching(problem, control, grid, config):
 
 def evaluate_checkpoint(problem, control, grid, master_seed, n_paths,
                         workers=None):
-    """Fresh-path metrics for a control: objective and terminal-state stats."""
+    """Fresh-path metrics for a control: objective and terminal-state stats;
+    `workers` is accepted and ignored."""
     costs, terminal = sample_pathwise_costs(problem, control, grid,
-                                            master_seed, n_paths,
-                                            workers=workers)
+                                            master_seed, n_paths)
     se = (float(costs.std(ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0)
     metrics = {
         "objective": float(costs.mean()),

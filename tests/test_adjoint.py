@@ -388,6 +388,66 @@ def test_solvers_ignore_input_layout(request, fixture, grid):
 
 
 # ---------------------------------------------------------------------------
+# non-finite values in the backward sweeps
+
+
+@pytest.fixture(scope="module")
+def unstable_partials():
+    """States stay O(1) under a stabilizing feedback (closed loop -10 x),
+    but the partial drift Jacobian is +50: every sweep that ignores the
+    feedback grows by 1.5 per step and overflows within 2,000 steps."""
+    problem = sl.make_lq_problem(50.0, 1.0, 1.0, 0.0, 1.0, 20.0)
+    control = sl.make_linear_feedback_control(1, 1, 1, 20.0,
+                                              theta=[-60.0, 0.0])
+    batch = sl.simulate_batch(problem, control, sl.TimeGrid(2000, 20.0), 0, 8)
+    assert np.max(np.abs(batch.states)) < 1.5
+    return problem, control, batch
+
+
+_OVERFLOWING_SWEEPS = {
+    "lean adjoint": lambda p, c, b: sl.solve_lean_adjoint(p, c, b),
+    "full adjoint": lambda p, c, b: sl.solve_first_order_adjoint(
+        p, sl.freeze_control(c), b),
+    "second-order adjoint": lambda p, c, b: sl.solve_second_order_adjoint(
+        p, sl.freeze_control(c), b, sl.solve_first_order_adjoint(p, c, b)),
+    "fundamental matrix": lambda p, c, b: sl.fundamental_matrix(p, c, b),
+}
+
+
+@pytest.mark.parametrize("solver", sorted(_OVERFLOWING_SWEEPS))
+def test_backward_sweeps_reject_non_finite_values(unstable_partials, solver):
+    problem, control, batch = unstable_partials
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(sl.SimulationError) as err:
+        _OVERFLOWING_SWEEPS[solver](problem, control, batch)
+    assert str(err.value).startswith(f"{solver} became non-finite at step ")
+    assert 0 <= err.value.step_index < batch.grid.n_steps
+    assert err.value.path_index in batch.path_indices
+
+
+def test_total_derivative_adjoint_survives_unstable_partials(
+        unstable_partials):
+    problem, control, batch = unstable_partials
+    full = sl.solve_first_order_adjoint(problem, control, batch)
+    assert np.all(np.isfinite(full.values))
+
+
+def test_feynman_kac_names_first_non_finite_node(lq_problem, lq_control,
+                                                 grid):
+    """The error names the first bad node in backward order: a corrupt
+    propagator at node 10 of path 3 poisons every earlier node too."""
+    batch = sl.simulate_batch(lq_problem, lq_control, grid, 0, 6)
+    props = sl.fundamental_matrix(lq_problem, lq_control, batch)
+    props.matrices[3, 10] = np.inf
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(sl.SimulationError) as err:
+        sl.feynman_kac_lean(lq_problem, lq_control, batch, props)
+    assert str(err.value) == ("Feynman-Kac lean adjoint became non-finite "
+                              "at step 10 (path 3)")
+    assert (err.value.step_index, err.value.path_index) == (10, 3)
+
+
+# ---------------------------------------------------------------------------
 # containers and output
 
 

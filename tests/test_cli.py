@@ -1,6 +1,8 @@
 """Config validation, subcommands, exit codes, and artifact determinism."""
 
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -250,9 +252,12 @@ def test_console_script_entry_point(tmp_path):
     cfg = tmp_path / "cfg.json"
     _write_config(cfg)
     out = tmp_path / "out"
+    # the child imports the soc_lab under test, installed or not
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "soc_lab.cli", "simulate",
          "--config", str(cfg), "--out", str(out)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0, proc.stderr
     assert (out / "trajectories.csv").exists()

@@ -210,12 +210,72 @@ def test_per_path_gradients_mean_matches_loss(lq_problem, lq_control, grid):
                                rtol=1e-12, atol=1e-15)
 
 
-def test_loss_rejects_misaligned_adjoints(lq_problem, lq_control, grid):
+def _full(p, c, traj):
+    return sl.solve_first_order_adjoint(p, sl.freeze_control(c), traj)
+
+
+def _second(p, c, traj):
+    return sl.solve_second_order_adjoint(p, sl.freeze_control(c), traj,
+                                         _full(p, c, traj))
+
+
+# consumer -> (stored values it takes, solved along some trajectory;
+#              the call, on a trajectory, with those values in that slot
+#              and every other input solved along the trajectory itself)
+_CONSUMERS = {
+    "lean_am_loss": (sl.solve_lean_adjoint, sl.lean_am_loss),
+    "bam_loss.adjoints": (_full, lambda p, c, traj, v: sl.bam_loss(
+        p, c, traj, v, _second(p, c, traj))),
+    "bam_loss.matrix_adjoints": (_second, lambda p, c, traj, v: sl.bam_loss(
+        p, c, traj, _full(p, c, traj), v)),
+    "quadratic_am_loss": (sl.solve_lean_adjoint, sl.quadratic_am_loss),
+    "per_path_lean_am_gradients": (sl.solve_lean_adjoint,
+                                   sl.per_path_lean_am_gradients),
+    "msa_exact_step": (sl.solve_lean_adjoint, sl.msa_exact_step),
+    "solve_second_order_adjoint": (
+        _full, lambda p, c, traj, v: sl.solve_second_order_adjoint(
+            p, sl.freeze_control(c), traj, v)),
+    "feynman_kac_lean": (sl.fundamental_matrix, sl.feynman_kac_lean),
+    "theta_gradient_via_adjoint": (_full, sl.theta_gradient_via_adjoint),
+}
+
+
+@pytest.mark.parametrize("source", ["batch_size", "grid", "single_path"])
+@pytest.mark.parametrize("consumer", sorted(_CONSUMERS))
+def test_loss_rejects_misaligned_adjoints(lq_problem, lq_control, grid,
+                                          consumer, source):
+    """Stored values from another batch, another grid, or one path of the
+    batch are refused, never broadcast."""
+    solve, call = _CONSUMERS[consumer]
     batch = sl.simulate_batch(lq_problem, lq_control, grid, 0, 4)
-    other = sl.simulate_batch(lq_problem, lq_control, grid, 0, 3)
-    lean = sl.solve_lean_adjoint(lq_problem, lq_control, other)
+    elsewhere = {
+        "batch_size": lambda: sl.simulate_batch(lq_problem, lq_control,
+                                                grid, 0, 3),
+        "grid": lambda: sl.simulate_batch(lq_problem, lq_control,
+                                          sl.TimeGrid(100, 1.0), 0, 4),
+        "single_path": lambda: batch[0],
+    }[source]()
+    stored = solve(lq_problem, lq_control, elsewhere)
     with pytest.raises(sl.ValidationError):
-        sl.lean_am_loss(lq_problem, lq_control, batch, lean)
+        call(lq_problem, lq_control, batch, stored)
+
+
+@pytest.mark.parametrize("consumer", sorted(_CONSUMERS))
+def test_single_trajectory_takes_its_own_path_values(lq_problem, lq_control,
+                                                     grid, consumer):
+    """A Trajectory with its own path container gives the numbers of the
+    one-path batch holding the same path."""
+    solve, call = _CONSUMERS[consumer]
+
+    def numbers(traj):
+        out = call(lq_problem, lq_control, traj,
+                   solve(lq_problem, lq_control, traj))
+        for attr in ("grad_theta", "values", "matrices"):
+            out = getattr(out, attr, out)
+        return np.ravel(out)
+
+    one = sl.simulate_batch(lq_problem, lq_control, grid, 0, 1)
+    np.testing.assert_array_equal(numbers(one[0]), numbers(one))
 
 
 # ---------------------------------------------------------------------------

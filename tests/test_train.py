@@ -100,6 +100,21 @@ def test_divergent_training_aborts_with_partial_history(lq_problem):
     assert err.value.iteration is not None
 
 
+def test_non_finite_adjoint_aborts_training():
+    """Finite states, overflowing lean adjoint: the run stops with the
+    solver's step and path as its reason, not with a nan loss."""
+    prob = sl.make_lq_problem(50.0, 1.0, 1.0, 0.0, 1.0, 20.0)
+    ctrl = sl.make_linear_feedback_control(1, 1, 1, 20.0, theta=[-60.0, 0.0])
+    cfg = sl.TrainConfig(n_iters=3, paths_per_iter=8, step_size=1e-6,
+                         master_seed=0)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(sl.TrainingAborted) as err:
+        sl.train_adjoint_matching(prob, ctrl, sl.TimeGrid(2000, 20.0), cfg)
+    assert err.value.iteration == 0
+    assert err.value.history.abort_reason.startswith(
+        "lean adjoint became non-finite at step ")
+
+
 def test_train_config_validation():
     with pytest.raises(sl.ValidationError):
         sl.TrainConfig(n_iters=0, paths_per_iter=8, step_size=1.0,
@@ -174,6 +189,36 @@ def test_msa_exact_step_is_a_fixed_point_near_optimum():
     lean = sl.solve_lean_adjoint(prob, ctrl, batch)
     stepped = sl.msa_exact_step(prob, ctrl, batch, lean)
     assert np.max(np.abs(stepped - theta)) < 0.05
+
+
+@pytest.mark.parametrize("b_mat, sigma", [
+    (1.0, np.sqrt(2.0)),
+    (2.0, 0.5),
+    (np.array([[0.0], [1.5]]), 0.5 * np.eye(2)),  # k = 1, m = 2
+], ids=["b1-sigma_sqrt2", "b2-sigma_half", "k1-m2"])
+def test_msa_exact_step_zeroes_the_lean_am_gradient(b_mat, sigma):
+    """The stepped theta is where the lean-AM gradient on the same batch
+    and adjoints vanishes, also when the control does not enter through
+    sigma."""
+    d = np.atleast_2d(sigma).shape[0]
+    prob = sl.make_lq_problem(-np.eye(d), b_mat, sigma, np.zeros((d, d)),
+                              np.eye(d), 1.0)
+    grid = sl.TimeGrid(50, 1.0)
+    ctrl = sl.make_linear_feedback_control(d, prob.k, 5, 1.0)
+    batch = sl.simulate_batch(prob, ctrl, grid, 13, 2048)
+    lean = sl.solve_lean_adjoint(prob, ctrl, batch)
+    stepped = ctrl.with_theta(sl.msa_exact_step(prob, ctrl, batch, lean))
+    grad = sl.lean_am_loss(prob, stepped, batch, lean).grad_theta
+    assert np.max(np.abs(grad)) <= 1e-12
+
+
+def test_msa_exact_step_rejects_non_control_affine_problem(sg_problem,
+                                                           sg_control):
+    batch = sl.simulate_batch(sg_problem, sg_control, sl.TimeGrid(10, 1.0),
+                              0, 8)
+    lean = sl.solve_lean_adjoint(sg_problem, sg_control, batch)
+    with pytest.raises(sl.UnsupportedProblemError):
+        sl.msa_exact_step(sg_problem, sg_control, batch, lean)
 
 
 def test_msa_exact_step_rejects_nonlinear_family(lq_problem):
