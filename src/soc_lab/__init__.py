@@ -6,9 +6,8 @@ adjoints — with independent oracles (finite differences, Riccati ODEs,
 closed-form Gaussian targets) for every numerical claim.
 """
 
-from .adjoint import (AdjointBatch, AdjointPath, MatrixAdjointBatch,
-                      MatrixAdjointPath, PropagatorBatch, PropagatorPath,
-                      feynman_kac_lean, freeze_control, fundamental_matrix,
+from .adjoint import (Adjoints, Propagators, feynman_kac_lean,
+                      freeze_control, fundamental_matrix,
                       solve_first_order_adjoint, solve_lean_adjoint,
                       solve_second_order_adjoint, theta_gradient_via_adjoint,
                       write_adjoints_csv)

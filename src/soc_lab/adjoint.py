@@ -30,6 +30,12 @@ Jacobian, so `feynman_kac_lean`'s reconstruction
 a_i = Phi_i' (grad_terminal + C_i), C_i = C_{i+1} + dt Phi_i^{-T} d1_cost_i,
 telescopes to exactly the lean recursion (same algebra, different
 association order; agreement is floating-point tight, not just O(dt)).
+
+Every solver is an anchor at node n plus one backward step, run by the
+one sweep `_backward`, which also checks the values for non-finite entries
+once. Adjoints of every kind come back as `Adjoints`, propagators as
+`Propagators`; each holds a batch, or one path when solved from one
+Trajectory or indexed out of a batch.
 """
 
 from __future__ import annotations
@@ -49,76 +55,64 @@ LEAN = "lean"
 FULL = "full"
 FULL_WITH_H = "full_with_h"
 SECOND_ORDER = "second_order"
+PROPAGATOR = "propagator"
+_FIRST_ORDER = (LEAN, FULL, FULL_WITH_H)
 
 
-@dataclasses.dataclass(frozen=True)
-class AdjointPath:
-    """First-order adjoint values (n_steps+1, d) along one path."""
+class _Solved:
+    """Per-path rows of one stored array; shared by the two result types.
 
+    `row` is None for a batch, whose array is (B, n_steps+1, ...), and the
+    row a single path came from otherwise, whose array is (n_steps+1, ...).
+    Indexing a batch returns one path as the same class.
+    """
+
+    @property
+    def _stacked(self):
+        """The stored array as (B, n_steps+1, ...), one path as B = 1."""
+        data = getattr(self, self._ARRAY)
+        return data if self.row is None else data[None]
+
+    def __len__(self):
+        if self.row is not None:
+            raise TypeError(f"one path of {type(self).__name__} has no len()")
+        return getattr(self, self._ARRAY).shape[0]
+
+    def __getitem__(self, index):
+        row = range(len(self))[operator.index(index)]
+        return dataclasses.replace(
+            self, row=row, **{self._ARRAY: getattr(self, self._ARRAY)[row]})
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class Adjoints(_Solved):
+    """Adjoint values along a batch or one path.
+
+    values (B, n_steps+1, d) for the first-order kinds (lean, full,
+    full_with_h) and (B, n_steps+1, d, d) for second_order; one path drops
+    the leading B.
+    """
+
+    _ARRAY = "values"
     grid: TimeGrid
     values: np.ndarray
     kind: str
+    row: int | None = None
 
 
-class AdjointBatch:
-    """First-order adjoints for a batch, values (B, n_steps+1, d)."""
+@dataclasses.dataclass(frozen=True, eq=False)
+class Propagators(_Solved):
+    """Linearized flow maps to the horizon: matrices[:, i] ~ Phi_{t_i -> T},
+    (B, n_steps+1, d, d), or (n_steps+1, d, d) for one path."""
 
-    def __init__(self, grid, values, kind):
-        self.grid = grid
-        self.values = values
-        self.kind = kind
-
-    def __len__(self):
-        return self.values.shape[0]
-
-    def __getitem__(self, index):
-        return AdjointPath(self.grid, self.values[index], self.kind)
-
-    def __iter__(self):
-        for j in range(len(self)):
-            yield self[j]
-
-
-@dataclasses.dataclass(frozen=True)
-class MatrixAdjointPath:
-    """Second-order adjoint matrices (n_steps+1, d, d) along one path."""
-
-    grid: TimeGrid
-    values: np.ndarray
-    kind: str = SECOND_ORDER
-
-
-class MatrixAdjointBatch:
-    def __init__(self, grid, values):
-        self.grid = grid
-        self.values = values
-        self.kind = SECOND_ORDER
-
-    def __len__(self):
-        return self.values.shape[0]
-
-    def __getitem__(self, index):
-        return MatrixAdjointPath(self.grid, self.values[index])
-
-
-@dataclasses.dataclass(frozen=True)
-class PropagatorPath:
-    """Linearized flow maps to the horizon: matrices[i] ~ Phi_{t_i -> T}."""
-
+    _ARRAY = "matrices"
+    kind = PROPAGATOR  # a constant, so `_aligned` checks every slot alike
     grid: TimeGrid
     matrices: np.ndarray
-
-
-class PropagatorBatch:
-    def __init__(self, grid, matrices):
-        self.grid = grid
-        self.matrices = matrices
-
-    def __len__(self):
-        return self.matrices.shape[0]
-
-    def __getitem__(self, index):
-        return PropagatorPath(self.grid, self.matrices[index])
+    row: int | None = None
 
 
 class _FrozenControl:
@@ -165,44 +159,56 @@ def _batch_view(traj):
                           f"got {type(traj).__name__}")
 
 
-def _aligned(container, traj, name, attr="values"):
-    """`container.<attr>` as (B, n_steps+1, ...), one path lifted to B = 1.
+def _aligned(container, traj, name, kinds=_FIRST_ORDER):
+    """`container`'s stored array as (B, n_steps+1, ...), one path as B = 1.
 
-    Raises ValidationError unless it was solved on `traj`'s grid and holds
-    exactly one entry per path of `traj`.
+    Raises ValidationError unless it is a result of one of `kinds`, was
+    solved on `traj`'s grid and holds exactly one entry per path of `traj`.
     """
-    if isinstance(container, (AdjointPath, MatrixAdjointPath,
-                              PropagatorPath)):
-        values = getattr(container, attr)[None]
-    elif isinstance(container, (AdjointBatch, MatrixAdjointBatch,
-                                PropagatorBatch)):
-        values = getattr(container, attr)
-    else:
-        raise ValidationError(f"{name} must be an adjoint or propagator "
-                              f"path or batch, got {type(container).__name__}")
-    n_paths = len(traj) if isinstance(traj, TrajectoryBatch) else 1
-    want = (n_paths, traj.grid.n_steps + 1)
+    if not isinstance(container, _Solved) or container.kind not in kinds:
+        got = getattr(container, "kind", type(container).__name__)
+        raise ValidationError(f"{name} must hold {' or '.join(kinds)} "
+                              f"values, got {got}")
+    values = container._stacked
+    _, states, _, _, _ = _batch_view(traj)
+    want = (states.shape[0], traj.grid.n_steps + 1)
     if values.shape[:2] != want or container.grid != traj.grid:
         raise ValidationError(
             f"{name} {values.shape} on {container.grid} do not align with "
-            f"{n_paths} path(s) on {traj.grid}")
+            f"{want[0]} path(s) on {traj.grid}")
     return values
 
 
-def _finished(solver, traj, single, values, out):
-    """`out` (its one path when `single`), once its `values` are finite.
+def _backward(solver, traj, anchor, step, wrap):
+    """One backward sweep along `traj`; the five solvers' shared loop.
 
-    Checked once after the sweep; a non-finite value raises
-    SimulationError at the first bad node in backward order.
+    values[:, n] = anchor(X_N), then for i = n-1, ..., 0
+        values[:, i] = step(i, x, u, t, dB_i, values[:, i+1])
+    at the forward step's own point (x, u, t) = (X_i, u_i, t_i). The values
+    are checked once after the sweep: a non-finite one raises
+    SimulationError naming `solver`, the first bad node in backward order
+    and its path. Returns wrap(grid, values), its one path for a
+    Trajectory.
     """
+    grid, states, controls, increments, single = _batch_view(traj)
+    n, nodes = grid.n_steps, grid.nodes
+    value = anchor(states[:, n])
+    values = _time_major(n + 1, states.shape[0], *value.shape[1:])
+    values[:, n] = value
+    for i in range(n - 1, -1, -1):
+        value = step(i, states[:, i], controls[:, i], float(nodes[i]),
+                     increments[:, i], value)
+        values[:, i] = value
     # min and max see every nan and inf without a full-size temporary
-    if np.isfinite(values.min()) and np.isfinite(values.max()):
-        return out[0] if single else out
-    bad = ~np.isfinite(values).reshape(values.shape[:2] + (-1,)).all(axis=2)
-    i = int(np.flatnonzero(bad.any(axis=0))[-1])
-    path = (traj.noise.path_index if single
-            else int(traj.path_indices[np.argmax(bad[:, i])]))
-    raise _non_finite(solver, i, path)
+    if not (np.isfinite(values.min()) and np.isfinite(values.max())):
+        bad = ~np.isfinite(values).reshape(values.shape[:2] + (-1,)).all(
+            axis=2)
+        i = int(np.flatnonzero(bad.any(axis=0))[-1])
+        path = (traj.noise.path_index if single
+                else int(traj.path_indices[np.argmax(bad[:, i])]))
+        raise _non_finite(solver, i, path)
+    out = wrap(grid, values)
+    return out[0] if single else out
 
 
 def _frozen_steps(control, traj_batch):
@@ -232,40 +238,27 @@ def _lean_u_gradient(problem, x, u, t, a):
             + np.einsum("bic,bi->bc", bundle.d2_drift(x, u, t), a))
 
 
-def _step_point(states, controls, nodes, i):
-    """(x, u, t) coefficients for the backward step i+1 -> i.
-
-    The forward step i -> i+1 was driven by (X_i, u_i, t_i); its adjoint
-    transpose reuses exactly that point.
-    """
-    x = states[:, i]
-    u = controls[:, i]
-    t = float(nodes[i])
-    return x, u, t
+def _gradient_anchor(problem):
+    """a_N = grad_terminal(X_N), the anchor of the vector adjoints."""
+    return lambda x_n: np.asarray(problem.derivatives.grad_terminal(x_n),
+                                  dtype=np.float64)
 
 
 def solve_lean_adjoint(problem, control, traj):
     """Partial-derivative adjoint; terminal anchor grad_terminal(X_N).
 
-    Accepts one Trajectory or a TrajectoryBatch and returns the matching
-    AdjointPath / AdjointBatch (kind "lean").
+    Accepts one Trajectory or a TrajectoryBatch and returns `Adjoints` of
+    kind "lean" for the path or the batch.
     """
-    grid, states, controls, _, single = _batch_view(traj)
     bundle = problem.derivatives
-    n, dt = grid.n_steps, grid.dt
-    nodes = grid.nodes
-    batch = states.shape[0]
-    values = _time_major(n + 1, batch, problem.d)
-    a = np.asarray(bundle.grad_terminal(states[:, n]), dtype=np.float64)
-    values[:, n] = a
-    for i in range(n - 1, -1, -1):
-        x, u, t = _step_point(states, controls, nodes, i)
-        jac = bundle.d1_drift(x, u, t)
-        src = bundle.d1_cost(x, u, t)
-        a = a + dt * (np.einsum("bip,bi->bp", jac, a) + src)
-        values[:, i] = a
-    return _finished("lean adjoint", traj, single, values,
-                     AdjointBatch(grid, values, LEAN))
+    dt = _batch_view(traj)[0].dt
+
+    def step(i, x, u, t, db, a):
+        return a + dt * (np.einsum("bip,bi->bp", bundle.d1_drift(x, u, t), a)
+                         + bundle.d1_cost(x, u, t))
+
+    return _backward("lean adjoint", traj, _gradient_anchor(problem), step,
+                     functools.partial(Adjoints, kind=LEAN))
 
 
 def _total_first_order(problem, control, x, u, t):
@@ -301,25 +294,19 @@ def solve_first_order_adjoint(problem, control, traj, h_term=None):
     """
     if h_term is not None and h_term.grad is None:
         raise ValidationError("h_term requires a grad callback")
-    grid, states, controls, increments, single = _batch_view(traj)
-    bundle = problem.derivatives
-    n, dt = grid.n_steps, grid.dt
-    nodes = grid.nodes
-    batch = states.shape[0]
-    values = _time_major(n + 1, batch, problem.d)
-    a = np.asarray(bundle.grad_terminal(states[:, n]), dtype=np.float64)
-    values[:, n] = a
-    for i in range(n - 1, -1, -1):
-        x, u, t = _step_point(states, controls, nodes, i)
+    kind = FULL_WITH_H if h_term is not None else FULL
+    dt = _batch_view(traj)[0].dt
+
+    def step(i, x, u, t, db, a):
         jac_x, grad_f, g, _ = _total_first_order(problem, control, x, u, t)
         c = np.einsum("bjip,bi->bjp", g, a)
         if h_term is not None:
             c = c + np.asarray(h_term.grad(x, t), dtype=np.float64)
-        a = (a + dt * (np.einsum("bip,bi->bp", jac_x, a) + grad_f)
-             + np.einsum("bjp,bj->bp", c, increments[:, i]))
-        values[:, i] = a
-    out = AdjointBatch(grid, values, FULL_WITH_H if h_term is not None else FULL)
-    return _finished(f"{out.kind} adjoint", traj, single, values, out)
+        return (a + dt * (np.einsum("bip,bi->bp", jac_x, a) + grad_f)
+                + np.einsum("bjp,bj->bp", c, db))
+
+    return _backward(f"{kind} adjoint", traj, _gradient_anchor(problem),
+                     step, functools.partial(Adjoints, kind=kind))
 
 
 def _total_hessian(lead, xx, xu, uu, du_dx):
@@ -373,7 +360,8 @@ def solve_second_order_adjoint(problem, control, traj, first):
         A_i  = A_{i+1} + dt * lyap + sum_j U_j dB_i^j
 
     Requires derivatives.second_order and a control with d2u/dx2 == 0.
-    `first` is the matching first-order AdjointBatch/Path along `traj`.
+    `first` holds first-order `Adjoints` (lean, full or full_with_h)
+    along `traj`.
     """
     if problem.derivatives.second_order is None:
         raise UnsupportedProblemError(
@@ -383,18 +371,14 @@ def solve_second_order_adjoint(problem, control, traj, first):
             f"control family {control.family!r} has nonzero state Hessian; "
             f"the matrix adjoint assembles total derivatives only for "
             f"affine-in-x families")
-    grid, states, controls, increments, single = _batch_view(traj)
     first_values = _aligned(first, traj, "first")
     bundle = problem.derivatives
-    n, dt = grid.n_steps, grid.dt
-    nodes = grid.nodes
-    batch, d = states.shape[0], problem.d
-    values = _time_major(n + 1, batch, d, d)
-    a_mat = np.asarray(bundle.hess_terminal(states[:, n]), dtype=np.float64)
-    a_mat = 0.5 * (a_mat + a_mat.transpose(0, 2, 1))
-    values[:, n] = a_mat
-    for i in range(n - 1, -1, -1):
-        x, u, t = _step_point(states, controls, nodes, i)
+    dt = _batch_view(traj)[0].dt
+
+    def symmetric(a_mat):
+        return 0.5 * (a_mat + a_mat.transpose(0, 2, 1))
+
+    def step(i, x, u, t, db, a_mat):
         jac_x, _, g, du_dx = _total_first_order(problem, control, x, u, t)
         hess_f, hess_b, hess_s = _total_second_order(
             problem, control, x, u, t, du_dx)
@@ -413,12 +397,14 @@ def solve_second_order_adjoint(problem, control, traj, first):
             a_hs = np.einsum("bi,bjipq->bjpq", a_vec, hess_s)
             lyap = lyap + 0.5 * np.einsum("bjpr,bjrq->bpq", a_hs, g)
             u_noise = u_noise + a_hs
-        a_mat = (a_mat + dt * lyap
-                 + np.einsum("bjpq,bj->bpq", u_noise, increments[:, i]))
-        a_mat = 0.5 * (a_mat + a_mat.transpose(0, 2, 1))
-        values[:, i] = a_mat
-    return _finished("second-order adjoint", traj, single, values,
-                     MatrixAdjointBatch(grid, values))
+        return symmetric(a_mat + dt * lyap
+                         + np.einsum("bjpq,bj->bpq", u_noise, db))
+
+    return _backward(
+        "second-order adjoint", traj,
+        lambda x_n: symmetric(np.asarray(bundle.hess_terminal(x_n),
+                                         dtype=np.float64)),
+        step, functools.partial(Adjoints, kind=SECOND_ORDER))
 
 
 def fundamental_matrix(problem, control, traj):
@@ -427,23 +413,20 @@ def fundamental_matrix(problem, control, traj):
     matrices[i] = (I + dt J_{n-1}) ... (I + dt J_i) with J the partial
     drift Jacobian d1_drift at the lean solver's evaluation points; for a
     constant Jacobian this converges to expm((T - t_i) J). matrices[n] = I.
+    Returns `Propagators` for the path or the batch.
     """
-    grid, states, controls, _, single = _batch_view(traj)
     bundle = problem.derivatives
-    n, dt = grid.n_steps, grid.dt
-    nodes = grid.nodes
-    batch, d = states.shape[0], problem.d
-    eye = np.eye(d)
-    mats = _time_major(n + 1, batch, d, d)
-    phi = np.broadcast_to(eye, (batch, d, d)).copy()
-    mats[:, n] = phi
-    for i in range(n - 1, -1, -1):
-        x, u, t = _step_point(states, controls, nodes, i)
+    dt = _batch_view(traj)[0].dt
+    eye = np.eye(problem.d)
+
+    def step(i, x, u, t, db, phi):
         jac = np.asarray(bundle.d1_drift(x, u, t), dtype=np.float64)
-        phi = np.einsum("bij,bjk->bik", phi, eye + dt * jac)
-        mats[:, i] = phi
-    return _finished("fundamental matrix", traj, single, mats,
-                     PropagatorBatch(grid, mats))
+        return np.einsum("bij,bjk->bik", phi, eye + dt * jac)
+
+    return _backward(
+        "fundamental matrix", traj,
+        lambda x_n: np.broadcast_to(eye, (len(x_n),) + eye.shape).copy(),
+        step, Propagators)
 
 
 def feynman_kac_lean(problem, control, traj, propagators):
@@ -452,20 +435,21 @@ def feynman_kac_lean(problem, control, traj, propagators):
     a_i = Phi_i' (grad_terminal(X_N) + C_i) with C_N = 0 and
     C_i = C_{i+1} + dt * Phi_i^{-T} d1_cost_i; algebraically identical
     to the lean recursion (the running source is transported instead of
-    accumulated step by step).
+    accumulated step by step). `propagators` are `fundamental_matrix`'s
+    `Propagators` along `traj`.
     """
-    grid, states, controls, _, single = _batch_view(traj)
-    mats = _aligned(propagators, traj, "propagators", "matrices")
+    mats = _aligned(propagators, traj, "propagators", (PROPAGATOR,))
     bundle = problem.derivatives
-    n, dt = grid.n_steps, grid.dt
-    nodes = grid.nodes
-    batch, d = states.shape[0], problem.d
-    values = _time_major(n + 1, batch, d)
-    g_n = np.asarray(bundle.grad_terminal(states[:, n]), dtype=np.float64)
-    c_run = np.zeros((batch, d))
-    values[:, n] = g_n
-    for i in range(n - 1, -1, -1):
-        x, u, t = _step_point(states, controls, nodes, i)
+    dt = _batch_view(traj)[0].dt
+    g_n, c_run = None, 0.0
+
+    def anchor(x_n):
+        nonlocal g_n
+        g_n = np.asarray(bundle.grad_terminal(x_n), dtype=np.float64)
+        return g_n
+
+    def step(i, x, u, t, db, a):
+        nonlocal c_run
         src = np.asarray(bundle.d1_cost(x, u, t), dtype=np.float64)
         phi_t = mats[:, i].transpose(0, 2, 1)
         try:
@@ -474,9 +458,10 @@ def feynman_kac_lean(problem, control, traj, propagators):
             raise ValidationError(
                 f"singular propagator matrix at step {i}; the linearized "
                 f"flow is not invertible on this path")
-        values[:, i] = np.einsum("bji,bj->bi", mats[:, i], g_n + c_run)
-    return _finished("Feynman-Kac lean adjoint", traj, single, values,
-                     AdjointBatch(grid, values, LEAN))
+        return np.einsum("bji,bj->bi", mats[:, i], g_n + c_run)
+
+    return _backward("Feynman-Kac lean adjoint", traj, anchor, step,
+                     functools.partial(Adjoints, kind=LEAN))
 
 
 def theta_gradient_via_adjoint(problem, control, traj, adjoint):
@@ -495,11 +480,10 @@ def theta_gradient_via_adjoint(problem, control, traj, adjoint):
     grid, states, controls, increments, single = _batch_view(traj)
     values = _aligned(adjoint, traj, "adjoint")
     bundle = problem.derivatives
-    n, dt = grid.n_steps, grid.dt
-    nodes = grid.nodes
+    dt, nodes = grid.dt, grid.nodes
     grad = np.zeros((states.shape[0], control.n_params))
-    for i in range(n):
-        x, u, t = _step_point(states, controls, nodes, i)
+    for i in range(grid.n_steps):
+        x, u, t = states[:, i], controls[:, i], float(nodes[i])
         a_next = values[:, i + 1]
         du_dtheta, _ = control.jacobians(x, t)
         v = dt * _lean_u_gradient(problem, x, u, t, a_next)
@@ -510,21 +494,15 @@ def theta_gradient_via_adjoint(problem, control, traj, adjoint):
 
 
 def write_adjoints_csv(adjoints, path):
-    """Write adjoint values as rows (path, i, t, a_*)."""
-    if isinstance(adjoints, (AdjointPath, MatrixAdjointPath)):
-        paths = [adjoints]
-        indices = [0]
-    else:
-        paths = list(adjoints)
-        indices = list(range(len(paths)))
-    first = paths[0]
-    nodes = first.grid.nodes
-    flat_dim = int(np.prod(first.values.shape[1:]))
-    header = ["path", "i", "t"] + [f"a_{j}" for j in range(flat_dim)]
+    """Write stored values as rows (path, i, t, a_*), one path as path 0."""
+    values = adjoints._stacked
+    nodes = adjoints.grid.nodes
+    header = ["path", "i", "t"] + [
+        f"a_{j}" for j in range(int(np.prod(values.shape[2:])))]
 
     def rows():
-        for p, ap in zip(indices, paths):
-            for i in range(ap.values.shape[0]):
-                yield [p, i, float(nodes[i]), *np.ravel(ap.values[i])]
+        for p, path_values in enumerate(values):
+            for i, value in enumerate(path_values):
+                yield [p, i, float(nodes[i]), *np.ravel(value)]
 
     _io.write_csv(path, header, rows())

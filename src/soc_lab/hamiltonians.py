@@ -31,10 +31,10 @@ import math
 import numpy as np
 
 from . import _io
-from .adjoint import (_aligned, _frozen_steps, _lean_hamiltonian,
-                      _lean_u_gradient)
+from .adjoint import (SECOND_ORDER, _aligned, _frozen_steps,
+                      _lean_hamiltonian, _lean_u_gradient)
 from .errors import UnsupportedProblemError, ValidationError
-from .simulate import draw_batch_inputs, simulate_costs
+from .simulate import _positive_count, draw_batch_inputs, simulate_costs
 
 
 def _point(problem, x, u):
@@ -163,7 +163,8 @@ def bam_loss(problem, control, traj_batch, adjoints, matrix_adjoints):
                          problem.derivatives.dsigma_du(x, u, t)))
         return ham, v
 
-    mvals = _aligned(matrix_adjoints, traj_batch, "matrix_adjoints")
+    mvals = _aligned(matrix_adjoints, traj_batch, "matrix_adjoints",
+                     (SECOND_ORDER,))
     return _walk_loss("bam", control, traj_batch, adjoints, step)
 
 
@@ -214,8 +215,8 @@ def sample_pathwise_costs(problem, control, grid, master_seed, n_paths,
     Blocking only bounds memory; per-path counter RNG makes the result
     independent of block size. `workers` is accepted and ignored.
     """
-    if n_paths < 1:
-        raise ValidationError(f"n_paths must be >= 1, got {n_paths}")
+    n_paths = _positive_count(n_paths, "n_paths")
+    block_size = _positive_count(block_size, "block_size")
     if x0_seed is None:
         x0_seed = master_seed
     costs = np.empty(n_paths)

@@ -33,8 +33,8 @@ from . import _io
 from .adjoint import solve_lean_adjoint
 from .control import make_linear_feedback_control
 from .errors import UnsupportedProblemError, ValidationError
-from .simulate import (TimeGrid, TrajectoryBatch, _rollout, draw_batch_inputs,
-                       simulate_costs, simulate_forward)
+from .simulate import (TimeGrid, TrajectoryBatch, _positive_count, _rollout,
+                       draw_batch_inputs, simulate_costs, simulate_forward)
 
 logger = logging.getLogger(__name__)
 
@@ -346,6 +346,8 @@ def smp_representation_check(problem, grid, n_paths, seed, n_times=5,
     if problem.d != 1 or problem.k != 1:
         raise UnsupportedProblemError(
             "smp_representation_check supports scalar problems only")
+    n_paths = _positive_count(n_paths, "n_paths")
+    block_size = _positive_count(block_size, "block_size")
     data = _lq_data(problem)
     ric = solve_riccati(problem, grid)
     n = grid.n_steps

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 
 import numpy as np
 
@@ -35,6 +36,18 @@ from . import _io, _rng
 from .errors import SimulationError, ValidationError
 
 _CHUNK = 1024  # paths per noise draw buffer
+
+
+def _positive_count(value, name):
+    """`value` as an int >= 1 (numpy integers too); ValidationError else."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, "
+                              f"got {value!r}") from None
+    if value < 1:
+        raise ValidationError(f"{name} must be >= 1, got {value}")
+    return value
 
 
 def _time_major(steps, batch, *tail):
@@ -50,8 +63,8 @@ class TimeGrid:
     horizon: float
 
     def __post_init__(self):
-        if self.n_steps < 1:
-            raise ValidationError(f"n_steps must be >= 1, got {self.n_steps}")
+        object.__setattr__(self, "n_steps",
+                           _positive_count(self.n_steps, "n_steps"))
         if not (self.horizon > 0.0 and math.isfinite(self.horizon)):
             raise ValidationError(f"horizon must be positive, got {self.horizon}")
 
@@ -270,8 +283,7 @@ def simulate_batch(problem, control, grid, master_seed, n_paths,
     only on the seeds.
     """
     _check_grid(problem, grid)
-    if n_paths < 1:
-        raise ValidationError(f"n_paths must be >= 1, got {n_paths}")
+    n_paths = _positive_count(n_paths, "n_paths")
     if x0_seed is None:
         x0_seed = master_seed
     increments, x0 = draw_batch_inputs(problem, grid, master_seed, x0_seed,

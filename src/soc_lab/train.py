@@ -68,12 +68,16 @@ class TrainConfig:
         if self.loss_kind not in _LOSS_KINDS:
             raise ValidationError(
                 f"loss_kind must be one of {_LOSS_KINDS}, got {self.loss_kind!r}")
-        if self.step_size <= 0.0 and not self.msa_exact:
+        if math.isnan(self.step_size) or (self.step_size <= 0.0
+                                          and not self.msa_exact):
             raise ValidationError(
                 f"step_size must be positive, got {self.step_size}")
+        # `not r > 0` also refuses nan, which would disable the clipping
         if (self.trust_region_radius is not None
-                and self.trust_region_radius <= 0.0):
-            raise ValidationError("trust_region_radius must be positive")
+                and not self.trust_region_radius > 0.0):
+            raise ValidationError(
+                f"trust_region_radius must be positive, "
+                f"got {self.trust_region_radius}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -156,9 +160,9 @@ def train_adjoint_matching(problem, control, grid, config):
     """Run the training loop; returns (trained control, TrainHistory).
 
     Aborts (TrainingAborted, carrying the partial history) on a non-finite
-    adjoint, loss or gradient or once the loss exceeds 1e6. The recorded
-    objective is the batch estimate under the pre-update control of that
-    iteration.
+    state, adjoint, loss or gradient or once the loss exceeds 1e6. The
+    recorded objective is the batch estimate under the pre-update control
+    of that iteration.
     """
     history = TrainHistory(records=[])
 
@@ -171,17 +175,17 @@ def train_adjoint_matching(problem, control, grid, config):
     for it in range(config.n_iters):
         seed = (config.master_seed + it if config.resample_noise_each_iter
                 else config.master_seed)
-        batch = simulate_batch(problem, control, grid, seed,
-                               config.paths_per_iter)
-        costs = batch.pathwise_costs
-        objective = float(costs.mean())
-        objective_se = (float(costs.std(ddof=1) / math.sqrt(len(costs)))
-                        if len(costs) > 1 else 0.0)
         try:
+            batch = simulate_batch(problem, control, grid, seed,
+                                   config.paths_per_iter)
             report, lean = _solve_loss(problem, control, batch,
                                        config.loss_kind)
         except SimulationError as exc:
             abort(it, str(exc))
+        costs = batch.pathwise_costs
+        objective = float(costs.mean())
+        objective_se = (float(costs.std(ddof=1) / math.sqrt(len(costs)))
+                        if len(costs) > 1 else 0.0)
         if not math.isfinite(report.loss_value):
             abort(it, f"non-finite loss {report.loss_value!r}")
         if not np.all(np.isfinite(report.grad_theta)):

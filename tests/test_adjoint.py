@@ -470,3 +470,49 @@ def test_adjoints_csv(tmp_path, lq_problem, lq_control):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "path,i,t,a_0"
     assert len(lines) == 1 + 2 * (grid.n_steps + 1)
+
+
+@pytest.mark.parametrize("solver", ["lean", "second_order", "propagator"])
+def test_one_path_result_is_its_batch_row(lq_problem, lq_control, grid,
+                                          solver):
+    """Solving one Trajectory gives row 0 of the batch of one, as the same
+    class; a path neither has a length nor indexes further."""
+    def solve(traj):
+        if solver == "propagator":
+            return sl.fundamental_matrix(lq_problem, lq_control, traj)
+        full = sl.solve_first_order_adjoint(lq_problem, lq_control, traj)
+        if solver == "second_order":
+            return sl.solve_second_order_adjoint(lq_problem, lq_control,
+                                                 traj, full)
+        return sl.solve_lean_adjoint(lq_problem, lq_control, traj)
+
+    one = sl.simulate_batch(lq_problem, lq_control, grid, 0, 1)
+    batch, path = solve(one), solve(one[0])
+    assert type(path) is type(batch)
+    assert batch.row is None and path.row == 0
+    assert getattr(path, "kind", None) == getattr(batch, "kind", None)
+    attr = "matrices" if solver == "propagator" else "values"
+    np.testing.assert_array_equal(getattr(path, attr),
+                                  getattr(batch, attr)[0])
+    np.testing.assert_array_equal(getattr(batch[-1], attr),
+                                  getattr(batch, attr)[0])
+    with pytest.raises(TypeError):
+        len(path)
+    with pytest.raises(IndexError):
+        batch[1]
+
+
+def test_adjoints_csv_of_one_path_equals_its_batch_of_one(
+        tmp_path, lq_problem, lq_control):
+    grid = sl.TimeGrid(5, 1.0)
+    one = sl.simulate_batch(lq_problem, lq_control, grid, 0, 1)
+    for solve in (sl.solve_lean_adjoint, lambda p, c, traj:
+                  sl.solve_second_order_adjoint(
+                      p, c, traj, sl.solve_first_order_adjoint(p, c, traj))):
+        written = []
+        for traj in (one, one[0]):
+            out = tmp_path / "adj.csv"
+            sl.write_adjoints_csv(solve(lq_problem, lq_control, traj), out)
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+        assert written[0].count(b"\n") == 1 + grid.n_steps + 1

@@ -6,6 +6,7 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from soc_lab import cli
@@ -171,6 +172,25 @@ def test_train_and_report_roundtrip(tmp_path):
     assert cli.main(["report", "--config", str(cfg), "--out", str(explicit),
                      "--checkpoint", str(checkpoint)]) == 0
     assert (explicit / "metrics.csv").exists()
+
+
+def test_training_that_blows_up_forward_still_writes_history(tmp_path,
+                                                             capsys):
+    cfg = tmp_path / "cfg.json"
+    _write_config(cfg, problem={"id": "scalar_geometric", "params": {}},
+                  grid={"n_steps": 200},
+                  control={"family": "linear_feedback", "n_intervals": 1,
+                           "theta": [80.0, 0.0]},
+                  train={"n_iters": 3, "paths_per_iter": 4,
+                         "step_size": 0.1})
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = cli.main(["train", "--config", str(cfg), "--out", str(out)])
+    assert code == 1
+    assert "state became non-finite" in capsys.readouterr().err
+    lines = (out / "history.csv").read_text().strip().splitlines()
+    assert lines == ["iter,loss,grad_norm,objective,objective_se,step_norm"]
+    assert not (out / "checkpoint.json").exists()
 
 
 def test_report_without_checkpoint_is_config_error(tmp_path, capsys):

@@ -278,6 +278,46 @@ def test_single_trajectory_takes_its_own_path_values(lq_problem, lq_control,
     np.testing.assert_array_equal(numbers(one[0]), numbers(one))
 
 
+def _wrong_kind_values(p, c, traj):
+    full = _full(p, c, traj)
+    return {"lean": sl.solve_lean_adjoint(p, c, traj), "full": full,
+            "second": sl.solve_second_order_adjoint(
+                p, sl.freeze_control(c), traj, full),
+            "props": sl.fundamental_matrix(p, c, traj)}
+
+
+# call -> (the slot named in the error, the call with one slot holding
+#          values of another kind, all solved along the same batch)
+_WRONG_KIND = {
+    "feynman_kac_lean-lean": ("propagators", lambda p, c, b, v:
+                              sl.feynman_kac_lean(p, c, b, v["lean"])),
+    "solve_second_order_adjoint-propagators": (
+        "first", lambda p, c, b, v: sl.solve_second_order_adjoint(
+            p, sl.freeze_control(c), b, v["props"])),
+    "lean_am_loss-propagators": ("adjoints", lambda p, c, b, v:
+                                 sl.lean_am_loss(p, c, b, v["props"])),
+    "lean_am_loss-second_order": ("adjoints", lambda p, c, b, v:
+                                  sl.lean_am_loss(p, c, b, v["second"])),
+    "theta_gradient_via_adjoint-second_order": (
+        "adjoint", lambda p, c, b, v: sl.theta_gradient_via_adjoint(
+            p, c, b, v["second"])),
+    "bam_loss-full_as_matrix": ("matrix_adjoints", lambda p, c, b, v:
+                                sl.bam_loss(p, c, b, v["full"], v["full"])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_WRONG_KIND))
+def test_stored_values_of_the_wrong_kind_are_refused(lq_problem, lq_control,
+                                                     grid, case):
+    """A slot takes only its own kind: first-order adjoints, second-order
+    matrices or propagators, whatever their shapes."""
+    slot, call = _WRONG_KIND[case]
+    batch = sl.simulate_batch(lq_problem, lq_control, grid, 0, 4)
+    values = _wrong_kind_values(lq_problem, lq_control, batch)
+    with pytest.raises(sl.ValidationError, match=f"^{slot} must hold "):
+        call(lq_problem, lq_control, batch, values)
+
+
 # ---------------------------------------------------------------------------
 # Monte-Carlo objective
 
@@ -308,6 +348,15 @@ def test_sample_pathwise_costs_block_size_invariance(lq_problem, lq_control):
     # and they are the simulate_batch costs
     batch = sl.simulate_batch(lq_problem, lq_control, grid, 9, 100)
     np.testing.assert_array_equal(a_costs, batch.pathwise_costs)
+
+
+@pytest.mark.parametrize("block_size", [-1, 0, 2.5])
+def test_sample_pathwise_costs_refuses_bad_block_size(lq_problem, lq_control,
+                                                      block_size):
+    with pytest.raises(sl.ValidationError, match="block_size"):
+        sl.sample_pathwise_costs(lq_problem, lq_control,
+                                 sl.TimeGrid(10, 1.0), 9, 4,
+                                 block_size=block_size)
 
 
 def test_loss_reports_csv(tmp_path, lq_problem, lq_control, grid):

@@ -248,6 +248,16 @@ def test_smp_rejects_nonscalar_and_nonlq(lq_2d_problem, sg_problem, grid):
         sl.smp_representation_check(sg_problem, grid, 100, seed=0)
 
 
+@pytest.mark.parametrize("sizes", [dict(block_size=-1), dict(block_size=0),
+                                   dict(n_paths=0)])
+def test_smp_refuses_bad_sizes(lq_problem, sizes):
+    """A negative block used to bin uninitialised memory into nan slopes."""
+    kw = dict(n_paths=64, block_size=32) | sizes
+    with pytest.raises(sl.ValidationError, match=next(iter(sizes))):
+        sl.smp_representation_check(lq_problem, sl.TimeGrid(10, 1.0),
+                                    seed=0, **kw)
+
+
 def test_smp_csv(tmp_path, lq_problem):
     grid = sl.TimeGrid(50, 1.0)
     report = sl.smp_representation_check(lq_problem, grid, 4000, seed=4)

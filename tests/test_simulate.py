@@ -28,6 +28,18 @@ def test_time_grid_rejects_bad_inputs():
         sl.TimeGrid(10, -2.0)
 
 
+@pytest.mark.parametrize("n_steps", [2.5, 10.0, "10", None])
+def test_time_grid_refuses_non_integer_step_counts(n_steps):
+    with pytest.raises(sl.ValidationError, match="n_steps"):
+        sl.TimeGrid(n_steps, 1.0)
+
+
+def test_time_grid_takes_numpy_integers():
+    g = sl.TimeGrid(np.int64(10), 1.0)
+    assert type(g.n_steps) is int
+    assert g == sl.TimeGrid(10, 1.0)
+
+
 def test_brownian_stream_is_keyed_by_seed_and_path(grid):
     a = sl.sample_brownian(grid, 1, 3, 17)
     b = sl.sample_brownian(grid, 1, 3, 17)

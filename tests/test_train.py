@@ -115,6 +115,24 @@ def test_non_finite_adjoint_aborts_training():
         "lean adjoint became non-finite at step ")
 
 
+def test_non_finite_state_aborts_training_with_history():
+    """A forward pass that blows up stops the run like a backward one: with
+    the partial history and the state's step and path as its reason."""
+    prob = sl.make_scalar_geometric_problem()
+    ctrl = sl.make_linear_feedback_control(1, 1, 1, prob.horizon,
+                                           theta=[80.0, 0.0])
+    cfg = sl.TrainConfig(n_iters=3, paths_per_iter=4, step_size=0.1,
+                         master_seed=0)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(sl.TrainingAborted) as err:
+        sl.train_adjoint_matching(prob, ctrl, sl.TimeGrid(200, prob.horizon),
+                                  cfg)
+    assert err.value.iteration == 0
+    history = err.value.history
+    assert history.aborted and history.records == []
+    assert history.abort_reason.startswith("state became non-finite at step ")
+
+
 def test_train_config_validation():
     with pytest.raises(sl.ValidationError):
         sl.TrainConfig(n_iters=0, paths_per_iter=8, step_size=1.0,
@@ -125,6 +143,16 @@ def test_train_config_validation():
     with pytest.raises(sl.ValidationError):
         sl.TrainConfig(n_iters=1, paths_per_iter=8, step_size=1.0,
                        master_seed=0, loss_kind="huber")
+
+
+@pytest.mark.parametrize("field", ["step_size", "trust_region_radius"])
+def test_train_config_refuses_nan(field):
+    kw = dict(n_iters=1, paths_per_iter=8, step_size=1.0, master_seed=0)
+    kw[field] = float("nan")
+    with pytest.raises(sl.ValidationError, match=field):
+        sl.TrainConfig(**kw)
+    with pytest.raises(sl.ValidationError, match=field):
+        sl.TrainConfig(msa_exact=True, **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +270,25 @@ def test_msa_trainer_mode_runs():
     for j in range(4):
         t_mid = (j + 0.5) / 4.0
         assert abs(trained.theta[2 * j] + 1.0 / (2.0 - t_mid)) < 0.1
+
+
+def test_msa_and_gradient_descent_agree_when_drift_gain_is_not_sigma():
+    """B = 2, sigma = 0.5: both trainers minimise the lean-AM loss, whose
+    minimiser is -B'a, not -sigma'a, so both land on the Riccati gains."""
+    prob = sl.make_lq_problem(0.0, 2.0, 0.5, 0.0, 1.0, 1.0)
+    grid = sl.TimeGrid(32, 1.0)
+    ctrl = sl.make_linear_feedback_control(1, 1, 4, 1.0)
+    msa, msa_hist = sl.train_adjoint_matching(prob, ctrl, grid, sl.TrainConfig(
+        n_iters=6, paths_per_iter=1024, step_size=1.0, master_seed=19,
+        msa_exact=True))
+    gd, gd_hist = sl.train_adjoint_matching(prob, ctrl, grid, sl.TrainConfig(
+        n_iters=100, paths_per_iter=1024, step_size=2.0, master_seed=19))
+    assert not (msa_hist.aborted or gd_hist.aborted)
+    gains = sl.solve_riccati(prob, grid).gains[:-1, 0, 0]
+    want = gains.reshape(4, -1).mean(axis=1)  # per-interval mean
+    for trained in (msa, gd):
+        np.testing.assert_allclose(trained.theta[0::2], want, atol=0.06)
+    np.testing.assert_allclose(msa.theta[0::2], gd.theta[0::2], atol=0.06)
 
 
 # ---------------------------------------------------------------------------
