@@ -494,14 +494,16 @@ def theta_gradient_via_adjoint(problem, control, traj, adjoint):
 
 
 def write_adjoints_csv(adjoints, path):
-    """Write stored values as rows (path, i, t, a_*), one path as path 0."""
+    """Write stored values as rows (path, i, t, a_*); one path is labelled
+    with the batch row it came from."""
     values = adjoints._stacked
+    first = adjoints.row or 0
     nodes = adjoints.grid.nodes
     header = ["path", "i", "t"] + [
         f"a_{j}" for j in range(int(np.prod(values.shape[2:])))]
 
     def rows():
-        for p, path_values in enumerate(values):
+        for p, path_values in enumerate(values, start=first):
             for i, value in enumerate(path_values):
                 yield [p, i, float(nodes[i]), *np.ravel(value)]
 

@@ -3,7 +3,7 @@
 Subcommands (all driven by one JSON config; every run is a pure function
 of the config file, so reruns produce byte-identical artifacts):
 
-    soc-lab check    --config cfg.json [--out DIR] [--seed S] [--workers N]
+    soc-lab check    --config cfg.json [--out DIR] [--seed S]
     soc-lab train    ...
     soc-lab simulate ...
     soc-lab report   ... [--checkpoint PATH]
@@ -14,17 +14,17 @@ scalar LQ instance equivalent to a unit-rate OU process (drift -x, noise
 scale sqrt(2), stationary N(0,1) start) tilted by a quadratic terminal
 cost over a horizon of 5.
 
-The config validator rejects unknown keys and reports problems with
-dotted paths (e.g. "train.step_size: expected a number"). Omitted
-sections fall back to the defaults below; a present section is validated
-key by key.
+The config schema is one table per section (see `_CONFIG`): it rejects
+unknown keys and reports problems with dotted paths (e.g.
+"train.step_size: expected a finite number"). Omitted sections and keys
+fall back to the tables' defaults.
 """
 
 from __future__ import annotations
 
 import argparse
-import copy
 import dataclasses
+import inspect
 import json
 import logging
 import math
@@ -49,8 +49,9 @@ from .oracle import (LQValueFunction, fd_pathwise_gradient,
 from .problem import (DerivativeBundle, make_lq_problem, make_ou_tilt_problem,
                       make_scalar_geometric_problem, validate_derivatives)
 from .simulate import TimeGrid, simulate_batch, write_trajectories_csv
-from .train import (TrainConfig, evaluate_checkpoint, train_adjoint_matching,
-                    write_history_csv, write_metrics_csv)
+from .train import (_LOSS_KINDS, TrainConfig, evaluate_checkpoint,
+                    train_adjoint_matching, write_history_csv,
+                    write_metrics_csv)
 
 logger = logging.getLogger(__name__)
 
@@ -58,25 +59,193 @@ CHECK_NAMES = ("adjoint_vs_fd", "hessian_vs_fd", "first_variation",
                "sigma_collapse", "feynman_kac", "smp_representation",
                "memorylessness", "hjb_residual")
 
-_PROBLEM_IDS = ("lq", "ou_tilt", "scalar_geometric")
-_FAMILIES = ("linear_feedback", "feature_linear", "one_hidden_layer")
 _BUNDLE_ENTRIES = tuple(f.name for f in dataclasses.fields(DerivativeBundle)
                         if f.name != "second_order")
 
-_TRAIN_DEFAULTS = {
-    "n_iters": 50,
-    "paths_per_iter": 1024,
-    "step_size": 0.5,
-    "loss_kind": "lean_am",
-    "resample_noise_each_iter": True,
-    "trust_region_radius": None,
-    "msa_exact": False,
+
+# ---------------------------------------------------------------------------
+# config schema: a section is a table {key: (kind, default)}; a kind checks
+# and normalizes one value, naming its dotted path on failure
+
+_REQUIRED = inspect.Parameter.empty  # a builder parameter's "no default"
+
+
+def _integer(value, path):
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{path}: expected an integer, got {value!r}")
+    return value
+
+
+def _count(value, path):
+    if _integer(value, path) < 1:
+        raise ConfigError(f"{path}: must be >= 1, got {value}")
+    return value
+
+
+def _seed(value, path):
+    """Seeds key the Philox streams directly, so they must fit 64 bits."""
+    if not 0 <= _integer(value, path) < 2 ** 64:
+        raise ConfigError(f"{path}: must be in [0, 2**64), got {value}")
+    return value
+
+
+def _number(value, path):
+    """A finite number as a float; JSON's NaN and Infinity are refused."""
+    try:
+        if not isinstance(value, bool) and math.isfinite(value):
+            return float(value)
+    except (TypeError, OverflowError):
+        pass
+    raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+
+
+def _matrix(value, path):
+    """A number or a (nested) list of numbers."""
+    if isinstance(value, list):
+        return [_matrix(item, path) for item in value]
+    return _number(value, path)
+
+
+def _boolean(value, path):
+    if not isinstance(value, bool):
+        raise ConfigError(f"{path}: expected a boolean, got {value!r}")
+    return value
+
+
+def _string(value, path):
+    if not isinstance(value, str):
+        raise ConfigError(f"{path}: expected a string, got {value!r}")
+    return value
+
+
+def _choice(*choices):
+    def kind(value, path):
+        if _string(value, path) not in choices:
+            raise ConfigError(f"{path}: expected one of {list(choices)}, "
+                              f"got {value!r}")
+        return value
+    return kind
+
+
+def _list_of(item_kind):
+    def kind(value, path):
+        if not isinstance(value, list):
+            raise ConfigError(f"{path}: expected a list, got {value!r}")
+        return [item_kind(item, f"{path}[{i}]")
+                for i, item in enumerate(value)]
+    return kind
+
+
+def _section(raw, path, table):
+    """`raw` checked against `table`, with every omitted key's default.
+
+    Unknown keys are refused; a key whose default is None also takes null.
+    """
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: expected an object")
+    for key in raw:
+        if key not in table:
+            raise ConfigError(f"{path}.{key}: unknown key")
+    out = {}
+    for key, (kind, default) in table.items():
+        value = raw.get(key, default)
+        if value is _REQUIRED:
+            raise ConfigError(f"{path}.{key}: missing required key")
+        out[key] = (None if value is None and default is None
+                    else kind(value, f"{path}.{key}"))
+    return out
+
+
+def _object(path, table):
+    """Kind of a nested section; its errors start at its own dotted path."""
+    return lambda raw, _: _section(raw, path, table)
+
+
+def _keywords(builder, **kinds):
+    """(builder, table): one kind per keyword, with the builder's default."""
+    params = inspect.signature(builder).parameters
+    return builder, {key: (kind, params[key].default)
+                     for key, kind in kinds.items()}
+
+
+def _tagged(raw, path, tag, tables):
+    """The table that raw[tag] picks, for a section whose keys depend on it."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: expected an object")
+    if tag not in raw:
+        raise ConfigError(f"{path}.{tag}: missing required key")
+    return tables[_choice(*tables)(raw[tag], f"{path}.{tag}")][1]
+
+
+# Each problem id and control family maps to (builder, table); the table's
+# keys are the builder's keywords. The control builders take d, k and
+# horizon from the problem.
+_PROBLEMS = {
+    "lq": _keywords(make_lq_problem, a_mat=_matrix, b_mat=_matrix,
+                    sigma=_matrix, q_run=_matrix, q_term=_matrix,
+                    horizon=_number, x0_mean=_matrix, x0_cov=_matrix),
+    "ou_tilt": _keywords(make_ou_tilt_problem, rate=_number, tilt=_number,
+                         horizon=_number),
+    "scalar_geometric": _keywords(make_scalar_geometric_problem, nu=_number,
+                                  horizon=_number, x0_mean=_number,
+                                  x0_std=_number),
 }
 
-_CHECK_DEFAULTS = {
-    "n_paths": 10000,
-    "probe_paths": 4,
+_CONTROLS = {
+    "linear_feedback": (make_linear_feedback_control,
+                        {"n_intervals": (_integer, 1)}),
+    "feature_linear": (make_feature_linear_control,
+                       {"features": (_list_of(_string), _REQUIRED)}),
+    "one_hidden_layer": (make_one_hidden_layer_control,
+                         {"width": (_integer, 16)}),
 }
+
+
+def _problem(raw, _):
+    return _section(raw, "problem", {
+        "id": (_string, _REQUIRED),
+        "params": (_object("problem.params",
+                           _tagged(raw, "problem", "id", _PROBLEMS)), {}),
+        "corrupt_entry": (_choice(*_BUNDLE_ENTRIES), None)})
+
+
+def _control(raw, _):
+    return _section(raw, "control", {
+        "family": (_string, _REQUIRED),
+        "theta": (_list_of(_number), None),
+        **_tagged(raw, "control", "family", _CONTROLS)})
+
+
+_TRAIN = {
+    "n_iters": (_count, 50),
+    "paths_per_iter": (_count, 1024),
+    "step_size": (_number, 0.5),
+    "loss_kind": (_choice(*_LOSS_KINDS), "lean_am"),
+    "resample_noise_each_iter": (_boolean, True),
+    "trust_region_radius": (_number, None),
+    "msa_exact": (_boolean, False),
+}
+_CHECK_PARAMS = {"n_paths": (_count, 10000), "probe_paths": (_count, 4)}
+_SIMULATE = {"n_paths": (_count, 8)}
+_REPORT = {"n_paths": (_count, 20000)}
+
+_CONFIG = {
+    "master_seed": (_seed, 0),
+    "out_dir": (_string, "soc_lab_out"),
+    "problem": (_problem, _REQUIRED),
+    "grid": (_object("grid", {"n_steps": (_count, _REQUIRED)}), _REQUIRED),
+    "control": (_control, _REQUIRED),
+    "train": (_object("train", _TRAIN), {}),
+    "checks": (_list_of(_choice(*CHECK_NAMES)), list(CHECK_NAMES)),
+    "check_params": (_object("check_params", _CHECK_PARAMS), {}),
+    "simulate": (_object("simulate", _SIMULATE), {}),
+    "report": (_object("report", _REPORT), {}),
+}
+
+
+def _defaults(table):
+    return {key: default for key, (_, default) in table.items()}
+
 
 DEFAULT_CONFIG = {
     "master_seed": 0,
@@ -97,255 +266,33 @@ DEFAULT_CONFIG = {
     "grid": {"n_steps": 500},
     "control": {"family": "linear_feedback", "n_intervals": 10,
                 "theta": None},
-    "train": dict(_TRAIN_DEFAULTS),
+    "train": _defaults(_TRAIN),
     "checks": list(CHECK_NAMES),
-    "check_params": dict(_CHECK_DEFAULTS),
-    "simulate": {"n_paths": 8},
-    "report": {"n_paths": 20000},
+    "check_params": _defaults(_CHECK_PARAMS),
+    "simulate": _defaults(_SIMULATE),
+    "report": _defaults(_REPORT),
 }
-
-
-# ---------------------------------------------------------------------------
-# config validation (hand-rolled; unknown keys are errors)
-
-
-def _reject_unknown(obj, path, allowed):
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{path}: expected an object")
-    for key in obj:
-        if key not in allowed:
-            raise ConfigError(f"{path}.{key}: unknown key")
-
-
-def _is_num(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _take_int(obj, key, path, default=None):
-    value = obj.get(key, default)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigError(f"{path}.{key}: expected an integer, "
-                          f"got {value!r}")
-    return value
-
-
-def _take_num(obj, key, path, default=None, allow_none=False):
-    value = obj.get(key, default)
-    if value is None and allow_none:
-        return None
-    if not _is_num(value):
-        raise ConfigError(f"{path}.{key}: expected a number, got {value!r}")
-    return float(value)
-
-
-def _take_bool(obj, key, path, default=None):
-    value = obj.get(key, default)
-    if not isinstance(value, bool):
-        raise ConfigError(f"{path}.{key}: expected a boolean, got {value!r}")
-    return value
-
-
-def _take_str(obj, key, path, choices=None, default=None, required=True):
-    if key not in obj:
-        if not required:
-            return default
-        raise ConfigError(f"{path}.{key}: missing required key")
-    value = obj[key]
-    if not isinstance(value, str):
-        raise ConfigError(f"{path}.{key}: expected a string, got {value!r}")
-    if choices is not None and value not in choices:
-        raise ConfigError(f"{path}.{key}: expected one of {list(choices)}, "
-                          f"got {value!r}")
-    return value
-
-
-def _matrix_like(value, path):
-    """Accept a scalar or (nested) list of numbers; reject anything else."""
-    if _is_num(value):
-        return float(value)
-    if isinstance(value, list):
-        return [_matrix_like(item, path) for item in value]
-    raise ConfigError(f"{path}: expected a number or nested list of numbers")
-
-
-def _validate_problem(section):
-    _reject_unknown(section, "problem", ("id", "params", "corrupt_entry"))
-    pid = _take_str(section, "id", "problem", choices=_PROBLEM_IDS)
-    params = section.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigError("problem.params: expected an object")
-    corrupt = _take_str(section, "corrupt_entry", "problem",
-                        choices=_BUNDLE_ENTRIES, required=False)
-    out = {"id": pid, "corrupt_entry": corrupt}
-    path = "problem.params"
-    if pid == "lq":
-        _reject_unknown(params, path, ("a_mat", "b_mat", "sigma", "q_run",
-                                       "q_term", "horizon", "x0_mean",
-                                       "x0_cov"))
-        for key in ("a_mat", "b_mat", "sigma", "q_run", "q_term"):
-            if key not in params:
-                raise ConfigError(f"{path}.{key}: missing required key")
-            out[key] = _matrix_like(params[key], f"{path}.{key}")
-        out["horizon"] = _take_num(params, "horizon", path)
-        for key in ("x0_mean", "x0_cov"):
-            if key in params:
-                out[key] = _matrix_like(params[key], f"{path}.{key}")
-            else:
-                out[key] = None
-    elif pid == "ou_tilt":
-        _reject_unknown(params, path, ("rate", "tilt", "horizon"))
-        out["rate"] = _take_num(params, "rate", path)
-        out["tilt"] = _take_num(params, "tilt", path)
-        out["horizon"] = _take_num(params, "horizon", path)
-    else:  # scalar_geometric
-        _reject_unknown(params, path, ("nu", "horizon", "x0_mean", "x0_std"))
-        out["nu"] = _take_num(params, "nu", path, default=0.2)
-        out["horizon"] = _take_num(params, "horizon", path, default=1.0)
-        out["x0_mean"] = _take_num(params, "x0_mean", path, default=1.0)
-        out["x0_std"] = _take_num(params, "x0_std", path, default=0.2)
-    return out
-
-
-def _validate_control(section):
-    _reject_unknown(section, "control",
-                    ("family", "n_intervals", "features", "width", "theta"))
-    family = _take_str(section, "family", "control", choices=_FAMILIES)
-    out = {"family": family}
-    theta = section.get("theta")
-    if theta is not None:
-        if not (isinstance(theta, list) and all(_is_num(v) for v in theta)):
-            raise ConfigError("control.theta: expected a list of numbers "
-                              "or null")
-        out["theta"] = [float(v) for v in theta]
-    else:
-        out["theta"] = None
-    if family == "linear_feedback":
-        out["n_intervals"] = _take_int(section, "n_intervals", "control",
-                                       default=1)
-        if "features" in section or "width" in section:
-            raise ConfigError("control: features/width only apply to "
-                              "feature_linear/one_hidden_layer families")
-    elif family == "feature_linear":
-        features = section.get("features")
-        if not (isinstance(features, list) and features
-                and all(isinstance(f, str) for f in features)):
-            raise ConfigError("control.features: expected a non-empty list "
-                              "of feature strings")
-        out["features"] = list(features)
-        if "n_intervals" in section or "width" in section:
-            raise ConfigError("control: n_intervals/width do not apply to "
-                              "feature_linear")
-    else:
-        out["width"] = _take_int(section, "width", "control", default=16)
-        if "n_intervals" in section or "features" in section:
-            raise ConfigError("control: n_intervals/features do not apply "
-                              "to one_hidden_layer")
-    return out
-
-
-def _validate_train(section):
-    _reject_unknown(section, "train", tuple(_TRAIN_DEFAULTS))
-    merged = dict(_TRAIN_DEFAULTS)
-    merged["n_iters"] = _take_int(section, "n_iters", "train",
-                                  default=merged["n_iters"])
-    merged["paths_per_iter"] = _take_int(section, "paths_per_iter", "train",
-                                         default=merged["paths_per_iter"])
-    merged["step_size"] = _take_num(section, "step_size", "train",
-                                    default=merged["step_size"])
-    merged["loss_kind"] = _take_str(section, "loss_kind", "train",
-                                    choices=("lean_am", "bam",
-                                             "quadratic_am"),
-                                    required=False,
-                                    default=merged["loss_kind"])
-    merged["resample_noise_each_iter"] = _take_bool(
-        section, "resample_noise_each_iter", "train",
-        default=merged["resample_noise_each_iter"])
-    merged["trust_region_radius"] = _take_num(
-        section, "trust_region_radius", "train",
-        default=merged["trust_region_radius"], allow_none=True)
-    merged["msa_exact"] = _take_bool(section, "msa_exact", "train",
-                                     default=merged["msa_exact"])
-    return merged
-
-
-def _check_seed(seed):
-    """Seeds key the Philox streams directly, so they must fit 64 bits."""
-    if not 0 <= seed < 2 ** 64:
-        raise ConfigError(f"config.master_seed: must be in [0, 2**64), "
-                          f"got {seed}")
-    return seed
 
 
 def validate_config(raw):
     """Normalize a raw config dict: defaults applied, unknown keys rejected.
 
-    Raises ConfigError with a dotted key path on the first violation.
+    The result is itself a valid config. Raises ConfigError with a dotted
+    key path on the first violation.
     """
-    _reject_unknown(raw, "config",
-                    ("master_seed", "out_dir", "problem", "grid", "control",
-                     "train", "checks", "check_params", "simulate", "report"))
-    for key in ("problem", "grid", "control"):
-        if key not in raw:
-            raise ConfigError(f"config.{key}: missing required key")
-    cfg = {}
-    cfg["master_seed"] = _check_seed(
-        _take_int(raw, "master_seed", "config", default=0))
-    cfg["out_dir"] = _take_str(raw, "out_dir", "config", required=False,
-                               default=DEFAULT_CONFIG["out_dir"])
-    cfg["problem"] = _validate_problem(raw["problem"])
-
-    grid = raw["grid"]
-    _reject_unknown(grid, "grid", ("n_steps",))
-    cfg["grid"] = {"n_steps": _take_int(grid, "n_steps", "grid")}
-    if cfg["grid"]["n_steps"] < 1:
-        raise ConfigError("grid.n_steps: must be >= 1")
-
-    cfg["control"] = _validate_control(raw["control"])
-    cfg["train"] = _validate_train(raw.get("train", {}))
-
-    checks = raw.get("checks", list(CHECK_NAMES))
-    if not isinstance(checks, list):
-        raise ConfigError("config.checks: expected a list of check names")
-    for name in checks:
-        if name not in CHECK_NAMES:
-            raise ConfigError(f"config.checks: unknown check {name!r}; "
-                              f"known: {list(CHECK_NAMES)}")
-    cfg["checks"] = list(checks)
-
-    params = raw.get("check_params", {})
-    _reject_unknown(params, "check_params", tuple(_CHECK_DEFAULTS))
-    cfg["check_params"] = {
-        "n_paths": _take_int(params, "n_paths", "check_params",
-                             default=_CHECK_DEFAULTS["n_paths"]),
-        "probe_paths": _take_int(params, "probe_paths", "check_params",
-                                 default=_CHECK_DEFAULTS["probe_paths"]),
-    }
-
-    sim = raw.get("simulate", {})
-    _reject_unknown(sim, "simulate", ("n_paths",))
-    cfg["simulate"] = {"n_paths": _take_int(sim, "n_paths", "simulate",
-                                            default=8)}
-    rep = raw.get("report", {})
-    _reject_unknown(rep, "report", ("n_paths",))
-    cfg["report"] = {"n_paths": _take_int(rep, "n_paths", "report",
-                                          default=20000)}
-    return cfg
+    return _section(raw, "config", _CONFIG)
 
 
 def load_config(path):
     """Read and validate a JSON config; None loads the built-in default."""
     if path is None:
-        return validate_config(copy.deepcopy(DEFAULT_CONFIG))
+        return validate_config(DEFAULT_CONFIG)
     try:
-        text = pathlib.Path(path).read_text()
+        raw = json.loads(pathlib.Path(path).read_text())
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
-    try:
-        raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}")
-    if not isinstance(raw, dict):
-        raise ConfigError("config: top level must be a JSON object")
     return validate_config(raw)
 
 
@@ -366,20 +313,9 @@ def _corrupted(problem, entry):
 
 def build_problem(cfg):
     spec = cfg["problem"]
-    pid = spec["id"]
+    builder, _ = _PROBLEMS[spec["id"]]
     try:
-        if pid == "lq":
-            problem = make_lq_problem(
-                spec["a_mat"], spec["b_mat"], spec["sigma"], spec["q_run"],
-                spec["q_term"], spec["horizon"], x0_mean=spec["x0_mean"],
-                x0_cov=spec["x0_cov"])
-        elif pid == "ou_tilt":
-            problem = make_ou_tilt_problem(spec["rate"], spec["tilt"],
-                                           spec["horizon"])
-        else:
-            problem = make_scalar_geometric_problem(
-                nu=spec["nu"], horizon=spec["horizon"],
-                x0_mean=spec["x0_mean"], x0_std=spec["x0_std"])
+        problem = builder(**spec["params"])
     except ValidationError as exc:
         raise ConfigError(f"problem.params: {exc}")
     if spec["corrupt_entry"] is not None:
@@ -392,32 +328,16 @@ def build_grid(cfg, problem):
 
 
 def build_control(cfg, problem):
-    spec = cfg["control"]
-    theta = None if spec["theta"] is None else np.asarray(spec["theta"])
+    spec = dict(cfg["control"])
+    builder, _ = _CONTROLS[spec.pop("family")]
     try:
-        if spec["family"] == "linear_feedback":
-            return make_linear_feedback_control(
-                problem.d, problem.k, spec["n_intervals"], problem.horizon,
-                theta=theta)
-        if spec["family"] == "feature_linear":
-            return make_feature_linear_control(
-                problem.d, problem.k, spec["features"], problem.horizon,
-                theta=theta)
-        return make_one_hidden_layer_control(
-            problem.d, problem.k, spec["width"], problem.horizon, theta=theta)
+        return builder(problem.d, problem.k, horizon=problem.horizon, **spec)
     except ValidationError as exc:
         raise ConfigError(f"control: {exc}")
 
 
 # ---------------------------------------------------------------------------
 # checks
-
-
-@dataclasses.dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
 
 
 def _fd_check_grid(problem):
@@ -608,15 +528,8 @@ def cmd_train(cfg, out_dir):
     problem = build_problem(cfg)
     grid = build_grid(cfg, problem)
     control = build_control(cfg, problem)
-    tc = cfg["train"]
     try:
-        config = TrainConfig(
-            n_iters=tc["n_iters"], paths_per_iter=tc["paths_per_iter"],
-            step_size=tc["step_size"], master_seed=cfg["master_seed"],
-            loss_kind=tc["loss_kind"],
-            resample_noise_each_iter=tc["resample_noise_each_iter"],
-            trust_region_radius=tc["trust_region_radius"],
-            msa_exact=tc["msa_exact"])
+        config = TrainConfig(master_seed=cfg["master_seed"], **cfg["train"])
     except ValidationError as exc:
         raise ConfigError(f"train: {exc}")
     try:
@@ -672,8 +585,6 @@ def main(argv=None):
                        help="JSON config path (default: built-in LQ config)")
         p.add_argument("--seed", type=int, default=None,
                        help="override config master_seed")
-        p.add_argument("--workers", type=int, default=None,
-                       help="accepted and ignored; draws are serial")
         p.add_argument("--out", default=None,
                        help="output directory (overrides config out_dir)")
         if name == "report":
@@ -685,7 +596,7 @@ def main(argv=None):
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
-            cfg["master_seed"] = _check_seed(args.seed)
+            cfg["master_seed"] = _seed(args.seed, "config.master_seed")
         out_dir = pathlib.Path(args.out if args.out else cfg["out_dir"])
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "check":

@@ -25,6 +25,7 @@ import re
 import numpy as np
 
 from .errors import ConfigError, ValidationError
+from .simulate import _positive_horizon
 
 _FAMILIES = ("linear_feedback", "feature_linear", "one_hidden_layer")
 
@@ -76,12 +77,10 @@ class ControlModel:
             raise ValidationError(f"unknown control family {family!r}")
         if d < 1 or k < 1:
             raise ValidationError(f"dimensions must be positive: d={d}, k={k}")
-        if horizon <= 0.0:
-            raise ValidationError(f"horizon must be positive, got {horizon}")
         self.family = family
         self.d = int(d)
         self.k = int(k)
-        self.horizon = float(horizon)
+        self.horizon = _positive_horizon(horizon)
         self.meta = dict(meta)
         n_params = self._n_params()
         if theta is None:

@@ -209,11 +209,11 @@ def quadratic_am_loss(problem, control, traj_batch, lean_adjoints):
 
 
 def sample_pathwise_costs(problem, control, grid, master_seed, n_paths,
-                          x0_seed=None, workers=None, block_size=32768):
+                          x0_seed=None, block_size=32768):
     """Fresh pathwise costs and terminal states, simulated in path blocks.
 
     Blocking only bounds memory; per-path counter RNG makes the result
-    independent of block size. `workers` is accepted and ignored.
+    independent of block size.
     """
     n_paths = _positive_count(n_paths, "n_paths")
     block_size = _positive_count(block_size, "block_size")
@@ -232,9 +232,8 @@ def sample_pathwise_costs(problem, control, grid, master_seed, n_paths,
 
 
 def soc_objective(problem, control, grid, master_seed, n_paths,
-                  x0_seed=None, workers=None):
-    """Monte-Carlo estimate of the discrete control cost: (mean, std error);
-    `workers` is accepted and ignored."""
+                  x0_seed=None):
+    """Monte-Carlo estimate of the discrete control cost: (mean, std error)."""
     costs, _ = sample_pathwise_costs(problem, control, grid, master_seed,
                                      n_paths, x0_seed=x0_seed)
     se = float(costs.std(ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0

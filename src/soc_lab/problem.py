@@ -33,6 +33,7 @@ import numpy as np
 
 from . import _rng
 from .errors import ValidationError
+from .simulate import _positive_horizon
 
 
 @dataclasses.dataclass(frozen=True)
@@ -432,8 +433,7 @@ def make_lq_problem(a_mat, b_mat, sigma, q_run, q_term, horizon,
     qt = _as_matrix(q_term, (d, d), "q_term")
     _check_sym_psd(qr, "q_run")
     _check_sym_psd(qt, "q_term")
-    if horizon <= 0.0:
-        raise ValidationError(f"horizon must be positive, got {horizon}")
+    horizon = _positive_horizon(horizon)
 
     mean = np.zeros(d) if x0_mean is None else \
         np.asarray(x0_mean, dtype=np.float64).reshape(d)
@@ -478,7 +478,7 @@ def make_lq_problem(a_mat, b_mat, sigma, q_run, q_term, horizon,
     )
 
     problem = ProblemSpec(
-        d=d, k=k, m=m, horizon=float(horizon),
+        d=d, k=k, m=m, horizon=horizon,
         drift=drift, diffusion=diffusion,
         running_cost=running_cost, terminal_cost=terminal_cost,
         initial_sampler=initial_sampler, derivatives=bundle,
@@ -527,12 +527,11 @@ def make_controlled_diffusion_problem(d, k, m, horizon, drift, diffusion,
     """
     if d <= 0 or k <= 0 or m <= 0:
         raise ValidationError(f"dimensions must be positive: d={d}, k={k}, m={m}")
-    if horizon <= 0.0:
-        raise ValidationError(f"horizon must be positive, got {horizon}")
+    horizon = _positive_horizon(horizon)
 
     rng = _rng.philox_generator(probe_seed, 1, _rng.PROBE)
     trial = ProblemSpec(
-        d=d, k=k, m=m, horizon=float(horizon),
+        d=d, k=k, m=m, horizon=horizon,
         drift=drift, diffusion=diffusion,
         running_cost=running_cost, terminal_cost=terminal_cost,
         initial_sampler=initial_sampler, derivatives=derivatives,

@@ -50,6 +50,14 @@ def _positive_count(value, name):
     return value
 
 
+def _positive_horizon(horizon):
+    """`horizon` as a float; ValidationError unless finite and positive."""
+    if not (horizon > 0.0 and math.isfinite(horizon)):
+        raise ValidationError(
+            f"horizon must be finite and positive, got {horizon}")
+    return float(horizon)
+
+
 def _time_major(steps, batch, *tail):
     """Uninitialised (batch, steps, *tail) view of time-major storage."""
     return np.empty((steps, batch) + tail).swapaxes(0, 1)
@@ -65,8 +73,7 @@ class TimeGrid:
     def __post_init__(self):
         object.__setattr__(self, "n_steps",
                            _positive_count(self.n_steps, "n_steps"))
-        if not (self.horizon > 0.0 and math.isfinite(self.horizon)):
-            raise ValidationError(f"horizon must be positive, got {self.horizon}")
+        _positive_horizon(self.horizon)
 
     @property
     def dt(self):
@@ -242,8 +249,7 @@ def simulate_forward(problem, control, grid, noise, x0):
                       noise=noise, pathwise_cost=float(costs[0]))
 
 
-def draw_batch_inputs(problem, grid, master_seed, x0_seed, start, stop,
-                      workers=None):
+def draw_batch_inputs(problem, grid, master_seed, x0_seed, start, stop):
     """Increments and initial states for paths [start, stop).
 
     Path p always gets the same draws for a given (master_seed, x0_seed),
@@ -253,8 +259,7 @@ def draw_batch_inputs(problem, grid, master_seed, x0_seed, start, stop,
     by re-keying this thread's shared Philox generator, straight into one
     path-major buffer of at most _CHUNK paths, then scaled into the
     (count, n_steps, m) view of time-major storage that comes back.
-    Concurrent calls from different threads do not interfere. `workers`
-    is accepted and ignored; draws are serial.
+    Concurrent calls from different threads do not interfere.
     """
     n, m, d = grid.n_steps, problem.m, problem.d
     sqrt_dt = math.sqrt(grid.dt)
@@ -273,14 +278,13 @@ def draw_batch_inputs(problem, grid, master_seed, x0_seed, start, stop,
 
 
 def simulate_batch(problem, control, grid, master_seed, n_paths,
-                   x0_seed=None, workers=None):
+                   x0_seed=None):
     """Simulate n_paths independent paths under one control.
 
     Brownian noise comes from per-path counter streams of `master_seed`;
     initial states from per-path streams of `x0_seed` (defaults to
-    `master_seed` on a separate stream tag). `workers` is accepted for
-    compatibility and ignored: the draws run serially, and results depend
-    only on the seeds.
+    `master_seed` on a separate stream tag). The draws run serially, and
+    results depend only on the seeds.
     """
     _check_grid(problem, grid)
     n_paths = _positive_count(n_paths, "n_paths")

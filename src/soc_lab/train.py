@@ -45,8 +45,8 @@ class TrainConfig:
 
     resample_noise_each_iter=True simulates iteration j with master_seed+j;
     False reuses master_seed every iteration (a fixed batch, useful for
-    reproducibility guards and debugging descent). workers is accepted and
-    ignored; noise is drawn serially.
+    reproducibility guards and debugging descent). step_size must be
+    finite, and positive unless msa_exact.
     """
 
     n_iters: int
@@ -57,7 +57,6 @@ class TrainConfig:
     resample_noise_each_iter: bool = True
     trust_region_radius: Optional[float] = None
     msa_exact: bool = False
-    workers: Optional[int] = None
 
     def __post_init__(self):
         if self.n_iters < 1:
@@ -68,10 +67,11 @@ class TrainConfig:
         if self.loss_kind not in _LOSS_KINDS:
             raise ValidationError(
                 f"loss_kind must be one of {_LOSS_KINDS}, got {self.loss_kind!r}")
-        if math.isnan(self.step_size) or (self.step_size <= 0.0
-                                          and not self.msa_exact):
+        if not math.isfinite(self.step_size) or (self.step_size <= 0.0
+                                                 and not self.msa_exact):
             raise ValidationError(
-                f"step_size must be positive, got {self.step_size}")
+                f"step_size must be finite and positive, "
+                f"got {self.step_size}")
         # `not r > 0` also refuses nan, which would disable the clipping
         if (self.trust_region_radius is not None
                 and not self.trust_region_radius > 0.0):
@@ -212,10 +212,8 @@ def train_adjoint_matching(problem, control, grid, config):
     return control, history
 
 
-def evaluate_checkpoint(problem, control, grid, master_seed, n_paths,
-                        workers=None):
-    """Fresh-path metrics for a control: objective and terminal-state stats;
-    `workers` is accepted and ignored."""
+def evaluate_checkpoint(problem, control, grid, master_seed, n_paths):
+    """Fresh-path metrics for a control: objective and terminal-state stats."""
     costs, terminal = sample_pathwise_costs(problem, control, grid,
                                             master_seed, n_paths)
     se = (float(costs.std(ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0)

@@ -463,13 +463,19 @@ def test_adjoint_batch_indexing(lq_problem, lq_control, grid):
 
 def test_adjoints_csv(tmp_path, lq_problem, lq_control):
     grid = sl.TimeGrid(3, 1.0)
-    batch = sl.simulate_batch(lq_problem, lq_control, grid, 0, 2)
+    batch = sl.simulate_batch(lq_problem, lq_control, grid, 0, 3)
     lean = sl.solve_lean_adjoint(lq_problem, lq_control, batch)
     out = tmp_path / "adj.csv"
     sl.write_adjoints_csv(lean, out)
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "path,i,t,a_0"
-    assert len(lines) == 1 + 2 * (grid.n_steps + 1)
+    assert len(lines) == 1 + 3 * (grid.n_steps + 1)
+    # one path of a batch keeps its batch row as its label
+    sl.write_adjoints_csv(lean[2], out)
+    rows = out.read_text().strip().splitlines()[1:]
+    assert len(rows) == grid.n_steps + 1
+    assert all(row.startswith("2,") for row in rows)
+    assert rows == lines[1 + 2 * (grid.n_steps + 1):]
 
 
 @pytest.mark.parametrize("solver", ["lean", "second_order", "propagator"])

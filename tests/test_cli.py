@@ -1,5 +1,6 @@
 """Config validation, subcommands, exit codes, and artifact determinism."""
 
+import inspect
 import json
 import os
 import pathlib
@@ -62,6 +63,16 @@ def test_validate_config_applies_defaults():
     (lambda c: c["control"].update({"family": "transformer"}),
      "control.family"),
     (lambda c: c.update({"checks": ["no_such_check"]}), "config.checks"),
+    (lambda c: c["grid"].update({"n_steps": 0}), "grid.n_steps: must be >= 1"),
+    (lambda c: c["train"].update({"n_iters": 0}), "train.n_iters"),
+    (lambda c: c["train"].update({"paths_per_iter": 0}),
+     "train.paths_per_iter"),
+    (lambda c: c.update({"check_params": {"n_paths": 0}}),
+     "check_params.n_paths"),
+    (lambda c: c.update({"check_params": {"probe_paths": 0}}),
+     "check_params.probe_paths"),
+    (lambda c: c.update({"simulate": {"n_paths": 0}}), "simulate.n_paths"),
+    (lambda c: c.update({"report": {"n_paths": 0}}), "report.n_paths"),
 ])
 def test_validate_config_names_the_offending_key(mutate, fragment):
     raw = {
@@ -89,6 +100,42 @@ def test_master_seed_outside_64_bits_is_refused(tmp_path, capsys, seed):
                      "--out", str(tmp_path / "out")])
     assert code == 2
     assert "config.master_seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mutate, key", [
+    (lambda c: c["train"].update(step_size=float("inf")), "train.step_size"),
+    (lambda c: c["train"].update(trust_region_radius=float("nan")),
+     "train.trust_region_radius"),
+    (lambda c: c["problem"]["params"].update(horizon=float("nan")),
+     "problem.params.horizon"),
+    (lambda c: c["problem"]["params"].update(sigma=[float("-inf")]),
+     "problem.params.sigma"),
+])
+def test_non_finite_numbers_are_refused(tmp_path, capsys, mutate, key):
+    """JSON's NaN and Infinity literals fail at load, naming the key."""
+    cfg = tmp_path / "cfg.json"
+    raw = _write_config(cfg)
+    mutate(raw)
+    cfg.write_text(json.dumps(raw))
+    code = cli.main(["train", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert f"{key}: expected a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "checkpoint.json").exists()
+
+
+def test_schema_tables_match_their_builders():
+    """A renamed builder keyword cannot orphan a config key."""
+    for builder, table in cli._PROBLEMS.values():
+        params = inspect.signature(builder).parameters
+        assert {key: default for key, (_, default) in table.items()} == \
+            {name: p.default for name, p in params.items()}
+    for builder, knobs in cli._CONTROLS.values():
+        params = inspect.signature(builder).parameters
+        assert set(params) == {"d", "k", "horizon", "theta", *knobs}
+        assert params["theta"].default is None
+    cfg = cli.validate_config(cli.DEFAULT_CONFIG)
+    assert cli.validate_config(cfg) == cfg
 
 
 def test_control_section_rejects_mismatched_knobs():
@@ -202,18 +249,17 @@ def test_report_without_checkpoint_is_config_error(tmp_path, capsys):
     assert "checkpoint not found" in capsys.readouterr().err
 
 
-def test_artifacts_are_rerun_and_worker_invariant(tmp_path):
+def test_artifacts_are_rerun_invariant(tmp_path):
     cfg = tmp_path / "cfg.json"
     _write_config(cfg)
-    outs = [tmp_path / name for name in ("a", "b", "w")]
-    for out, extra in zip(outs, ([], [], ["--workers", "4"])):
-        assert cli.main(["train", "--config", str(cfg), "--out", str(out)]
-                        + extra) == 0
+    outs = [tmp_path / name for name in ("a", "b")]
+    for out in outs:
+        assert cli.main(["train", "--config", str(cfg),
+                         "--out", str(out)]) == 0
     ref_hist = (outs[0] / "history.csv").read_bytes()
     ref_ckpt = (outs[0] / "checkpoint.json").read_bytes()
-    for out in outs[1:]:
-        assert (out / "history.csv").read_bytes() == ref_hist
-        assert (out / "checkpoint.json").read_bytes() == ref_ckpt
+    assert (outs[1] / "history.csv").read_bytes() == ref_hist
+    assert (outs[1] / "checkpoint.json").read_bytes() == ref_ckpt
 
     seeded = tmp_path / "s"
     assert cli.main(["train", "--config", str(cfg), "--out", str(seeded),

@@ -84,6 +84,18 @@ def test_lq_rejects_bad_inputs():
                            q_asym, np.eye(2), 1.0)
 
 
+@pytest.mark.parametrize("horizon", [float("nan"), float("inf")])
+@pytest.mark.parametrize("build", [
+    lambda h: sl.make_lq_problem(-1.0, 1.0, 1.0, 0.0, 1.0, h),
+    lambda h: sl.make_ou_tilt_problem(1.0, 1.0, h),
+    lambda h: sl.make_scalar_geometric_problem(horizon=h),
+    lambda h: sl.make_linear_feedback_control(1, 1, 1, h),
+], ids=["lq", "ou_tilt", "controlled_diffusion", "control"])
+def test_non_finite_horizon_is_refused(build, horizon):
+    with pytest.raises(sl.ValidationError, match="horizon must be finite"):
+        build(horizon)
+
+
 def test_ou_tilt_parameters(ou_problem):
     assert ou_problem.ou_params.rate == 1.0
     assert ou_problem.ou_params.tilt == 1.0

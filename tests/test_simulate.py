@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import soc_lab as sl
+from soc_lab import cli
 
 from conftest import make_mild_feedback
 
@@ -123,14 +124,27 @@ def test_x0_seed_defaults_to_master_seed(lq_problem, lq_control, grid):
     np.testing.assert_array_equal(a.increments, c.increments)
 
 
-def test_worker_count_does_not_change_results(lq_problem, lq_control, grid):
-    serial = sl.simulate_batch(lq_problem, lq_control, grid, 2, 32, workers=1)
-    threaded = sl.simulate_batch(lq_problem, lq_control, grid, 2, 32,
-                                 workers=4)
-    np.testing.assert_array_equal(serial.states, threaded.states)
-    np.testing.assert_array_equal(serial.increments, threaded.increments)
-    np.testing.assert_array_equal(serial.pathwise_costs,
-                                  threaded.pathwise_costs)
+def test_workers_keyword_and_flag_are_refused(lq_problem, lq_control, grid):
+    """Draws are serial, so there is no worker count to set."""
+    calls = [
+        lambda: sl.simulate_batch(lq_problem, lq_control, grid, 2, 4,
+                                  workers=4),
+        lambda: sl.draw_batch_inputs(lq_problem, grid, 2, 2, 0, 4, workers=4),
+        lambda: sl.sample_pathwise_costs(lq_problem, lq_control, grid, 2, 4,
+                                         workers=4),
+        lambda: sl.soc_objective(lq_problem, lq_control, grid, 2, 4,
+                                 workers=4),
+        lambda: sl.evaluate_checkpoint(lq_problem, lq_control, grid, 2, 4,
+                                       workers=4),
+        lambda: sl.TrainConfig(n_iters=1, paths_per_iter=4, step_size=1.0,
+                               master_seed=2, workers=4),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError, match="workers"):
+            call()
+    with pytest.raises(SystemExit) as err:
+        cli.main(["simulate", "--workers", "4"])
+    assert err.value.code == 2
 
 
 def test_batch_arrays_are_time_major_views(lq_2d_problem, grid):
@@ -149,18 +163,13 @@ def test_batch_arrays_are_time_major_views(lq_2d_problem, grid):
     assert batch[3].states.shape == (n + 1, 2)
 
 
-def test_draw_batch_inputs_is_range_and_worker_invariant(lq_problem, grid):
+def test_draw_batch_inputs_is_range_invariant(lq_problem, grid):
     """Ranges that straddle the draw buffer's 1024-path chunks agree."""
     full_inc, full_x0 = sl.draw_batch_inputs(lq_problem, grid, 7, 8, 0, 2100)
     inc, x0 = sl.draw_batch_inputs(lq_problem, grid, 7, 8, 1000, 2100)
     assert inc.shape == (1100, grid.n_steps, lq_problem.m)
     np.testing.assert_array_equal(inc, full_inc[1000:2100])
     np.testing.assert_array_equal(x0, full_x0[1000:2100])
-    for workers in (1, 4):
-        again = sl.draw_batch_inputs(lq_problem, grid, 7, 8, 1000, 2100,
-                                     workers=workers)
-        np.testing.assert_array_equal(again[0], inc)
-        np.testing.assert_array_equal(again[1], x0)
 
 
 def _fresh_normals(seed, path_index, stream, size):
