@@ -121,19 +121,20 @@ class _FrozenControl:
     The matching losses treat the stored trajectory (and the control
     realized along it) as fixed data, so the adjoints they consume are
     solved with du/dx == 0. Wrapping rather than flagging keeps the
-    solvers themselves convention-free.
+    solvers themselves convention-free. Everything else (u, du/dtheta,
+    theta, n_params, ...) is the wrapped control's.
     """
 
     x_hessian_is_zero = True
 
     def __init__(self, control):
         self._inner = control
-        self.family = control.family
-        self.d = control.d
-        self.k = control.k
 
-    def evaluate(self, x, t):
-        return self._inner.evaluate(x, t)
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def with_theta(self, theta):
+        return _FrozenControl(self._inner.with_theta(theta))
 
     def state_jacobian(self, x, t):
         return np.zeros((x.shape[0], self.k, self.d))

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import inspect
 import json
 import logging
@@ -340,45 +341,29 @@ def build_control(cfg, problem):
 # checks
 
 
-def _fd_check_grid(problem):
-    """Grid with dt ~ 1e-3 for FD-vs-adjoint identities (O(dt) agreement)."""
-    return TimeGrid(n_steps=max(1, round(problem.horizon / 1e-3)),
+def _check_vs_fd(second_order, problem, control, grid, seed, params,
+                 out_file):
+    """The full (or second-order) adjoint at t = 0 against pathwise FD of
+    the same discrete functional, per probe path on a dt ~ 1e-3 grid (the
+    identities hold to O(dt))."""
+    fd, step, gate = ((fd_pathwise_hessian, 1e-4, 1e-2) if second_order
+                      else (fd_pathwise_gradient, 1e-5, 1e-3))
+    fine = TimeGrid(n_steps=max(1, round(problem.horizon / 1e-3)),
                     horizon=problem.horizon)
-
-
-def _check_adjoint_vs_fd(problem, control, grid, seed, params, out_file):
-    fine = _fd_check_grid(problem)
     batch = simulate_batch(problem, control, fine, seed, params["probe_paths"])
-    full = solve_first_order_adjoint(problem, control, batch)
+    adjoints = solve_first_order_adjoint(problem, control, batch)
+    if second_order:
+        adjoints = solve_second_order_adjoint(problem, control, batch,
+                                              adjoints)
     rows = []
-    worst = 0.0
     for j, traj in enumerate(batch):
-        fd = fd_pathwise_gradient(problem, control, fine, traj.noise,
-                                  traj.x0, step=1e-5)
-        a0 = full.values[j, 0]
-        rel = float(np.linalg.norm(a0 - fd) / max(1.0, np.linalg.norm(fd)))
-        worst = max(worst, rel)
-        rows.append([j, rel, bool(rel <= 1e-3)])
+        want = fd(problem, control, fine, traj.noise, traj.x0, step=step)
+        rel = float(np.linalg.norm(adjoints.values[j, 0] - want)
+                    / max(1.0, np.linalg.norm(want)))
+        rows.append([j, rel, bool(rel <= gate)])
     _io.write_csv(out_file, ["path", "rel_err", "pass"], rows)
-    return worst <= 1e-3, f"max rel err {worst:.3e} (gate 1e-3)"
-
-
-def _check_hessian_vs_fd(problem, control, grid, seed, params, out_file):
-    fine = _fd_check_grid(problem)
-    batch = simulate_batch(problem, control, fine, seed, params["probe_paths"])
-    full = solve_first_order_adjoint(problem, control, batch)
-    second = solve_second_order_adjoint(problem, control, batch, full)
-    rows = []
-    worst = 0.0
-    for j, traj in enumerate(batch):
-        fd = fd_pathwise_hessian(problem, control, fine, traj.noise, traj.x0,
-                                 step=1e-4)
-        a0 = second.values[j, 0]
-        rel = float(np.linalg.norm(a0 - fd) / max(1.0, np.linalg.norm(fd)))
-        worst = max(worst, rel)
-        rows.append([j, rel, bool(rel <= 1e-2)])
-    _io.write_csv(out_file, ["path", "rel_err", "pass"], rows)
-    return worst <= 1e-2, f"max rel err {worst:.3e} (gate 1e-2)"
+    worst = max(rel for _, rel, _ in rows)
+    return worst <= gate, f"max rel err {worst:.3e} (gate {gate:.0e})"
 
 
 def _check_first_variation(problem, control, grid, seed, params, out_file):
@@ -481,8 +466,8 @@ def _check_hjb_residual(problem, control, grid, seed, params, out_file):
 
 
 _CHECKS = {
-    "adjoint_vs_fd": _check_adjoint_vs_fd,
-    "hessian_vs_fd": _check_hessian_vs_fd,
+    "adjoint_vs_fd": functools.partial(_check_vs_fd, False),
+    "hessian_vs_fd": functools.partial(_check_vs_fd, True),
     "first_variation": _check_first_variation,
     "sigma_collapse": _check_sigma_collapse,
     "feynman_kac": _check_feynman_kac,

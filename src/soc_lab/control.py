@@ -7,13 +7,14 @@ needs: d u / d theta (B, k, P) and d u / d x (B, k, d). Families:
   * linear_feedback  — piecewise-constant gains: u = K_j x + c_j on the
     j-th of n uniform intervals of [0, horizon].
   * feature_linear   — u = Theta phi(x, t) with hand-picked scalar/time
-    features; affine in x, so d2u/dx2 = 0 exactly.
+    features.
   * one_hidden_layer — tanh network on (x, t, horizon - t), width <= 64.
 
-theta defaults to zeros, which makes every family the zero control.
-Models are immutable; `with_theta` returns an updated copy (the trainer's
-update rule). JSON round-trips preserve parameters bit-for-bit (floats
-are serialized via repr).
+The first two are `affine`: u = K(t) x + c(t) with K and c linear in
+theta, so d2u/dx2 = 0 and the MSA step has a closed form. Controls are
+built by the `make_*` builders or `load_control`, with theta defaulting to
+zeros (the zero control). They are immutable; `with_theta` returns an
+updated copy. JSON round-trips keep theta bit-for-bit (floats via repr).
 """
 
 from __future__ import annotations
@@ -25,271 +26,252 @@ import re
 import numpy as np
 
 from .errors import ConfigError, ValidationError
-from .simulate import _positive_horizon
+from .simulate import _positive_count, _positive_horizon
 
-_FAMILIES = ("linear_feedback", "feature_linear", "one_hidden_layer")
-
-_TIME_PARTS = ("1", "t", "tau", "exp")
 _EXP_RE = re.compile(r"^exp\(-([0-9]+(?:\.[0-9]*)?)\*tau\)$")
-
-
-def _parse_time_part(text):
-    if text == "1":
-        return "1", 0.0
-    if text == "t":
-        return "t", 0.0
-    if text == "tau":
-        return "tau", 0.0
-    match = _EXP_RE.match(text)
-    if match:
-        return "exp", float(match.group(1))
-    raise ValidationError(
-        f"unknown feature {text!r}; expected 1, t, tau, exp(-<rate>*tau), "
-        f"optionally prefixed by 'x*' (or plain 'x')")
+_TIME_FNS = {"1": lambda t, horizon: 1.0,
+             "t": lambda t, horizon: t,
+             "tau": lambda t, horizon: horizon - t}
 
 
 def _parse_feature(text):
-    """-> (uses_x, time_kind, rate)."""
-    if text == "x":
-        return True, "1", 0.0
-    if text.startswith("x*"):
-        kind, rate = _parse_time_part(text[2:])
-        return True, kind, rate
-    kind, rate = _parse_time_part(text)
-    return False, kind, rate
-
-
-def _time_value(kind, rate, t, horizon):
-    if kind == "1":
-        return 1.0
-    if kind == "t":
-        return t
-    if kind == "tau":
-        return horizon - t
-    return math.exp(-rate * (horizon - t))
+    """-> (uses_x, time factor as a function of (t, horizon))."""
+    if not isinstance(text, str):
+        raise ValidationError(f"feature must be a string, got {text!r}")
+    uses_x = text == "x" or text.startswith("x*")
+    part = "1" if text == "x" else text[2:] if uses_x else text
+    if part in _TIME_FNS:
+        return uses_x, _TIME_FNS[part]
+    match = _EXP_RE.match(part)
+    if match is None:
+        raise ValidationError(
+            f"unknown feature {text!r}; expected 1, t, tau, exp(-<rate>*tau), "
+            f"optionally prefixed by 'x*' (or plain 'x')")
+    rate = float(match.group(1))
+    return uses_x, lambda t, horizon: math.exp(-rate * (horizon - t))
 
 
 class ControlModel:
-    """One member of a control family; see the module docstring."""
+    """Base of the control families: checks every (x, t) once.
 
-    def __init__(self, family, d, k, horizon, meta, theta=None):
-        if family not in _FAMILIES:
-            raise ValidationError(f"unknown control family {family!r}")
-        if d < 1 or k < 1:
-            raise ValidationError(f"dimensions must be positive: d={d}, k={k}")
-        self.family = family
-        self.d = int(d)
-        self.k = int(k)
+    A family names its JSON tag (`family`) and its one structural keyword
+    (`_knob`, also an attribute), and supplies `_n_params` and u, du/dtheta
+    and du/dx (`_u`, `_du_dtheta`, `_du_dx`) at a checked (x, t).
+    `x_hessian_is_zero` says d2u/dx2 vanishes identically.
+    """
+
+    affine = x_hessian_is_zero = False
+
+    def __init__(self, d, k, horizon, theta=None):
+        self.d = _positive_count(d, "d")
+        self.k = _positive_count(k, "k")
         self.horizon = _positive_horizon(horizon)
-        self.meta = dict(meta)
         n_params = self._n_params()
         if theta is None:
             theta = np.zeros(n_params)
-        theta = np.asarray(theta, dtype=np.float64).reshape(-1)
+        try:
+            theta = np.asarray(theta, dtype=np.float64).reshape(-1)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"theta must be numbers: {exc}") from None
         if theta.size != n_params:
             raise ValidationError(
                 f"theta has {theta.size} entries, family needs {n_params}")
         self.theta = theta.copy()
         self.theta.setflags(write=False)
 
-    # -- structure ---------------------------------------------------------
-
-    def _n_params(self):
-        d, k = self.d, self.k
-        if self.family == "linear_feedback":
-            return self.meta["n_intervals"] * (k * d + k)
-        if self.family == "feature_linear":
-            return k * self._n_features()
-        width = self.meta["width"]
-        return width * (d + 2) + width + k * width + k
-
-    def _n_features(self):
-        return sum(self.d if uses_x else 1 for uses_x, _, _ in self.meta["parsed"])
-
     @property
     def n_params(self):
         return self.theta.size
 
-    @property
-    def x_hessian_is_zero(self):
-        """True when d2u/dx2 vanishes identically (affine-in-x families)."""
-        return self.family in ("linear_feedback", "feature_linear")
+    def _structure(self):
+        return {"d": self.d, "k": self.k, "horizon": self.horizon,
+                self._knob: getattr(self, self._knob)}
 
     def with_theta(self, theta):
-        return ControlModel(self.family, self.d, self.k, self.horizon,
-                            self.meta, theta=theta)
+        return type(self)(theta=theta, **self._structure())
 
-    # -- evaluation --------------------------------------------------------
-
-    def _check_time(self, t):
+    def _point(self, x, t):
+        """(x as a float (B, d) batch, t as a float in [0, horizon])."""
+        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        if x.ndim != 2 or x.shape[1] != self.d:
+            raise ValidationError(f"state batch has shape {x.shape}, "
+                                  f"control expects (B, {self.d})")
+        t = float(t)
         slack = 1e-9 * max(1.0, self.horizon)
-        if t < -slack or t > self.horizon + slack:
+        if not -slack <= t <= self.horizon + slack:
             raise ValidationError(
                 f"time {t} outside control horizon [0, {self.horizon}]")
-
-    def _interval(self, t):
-        n = self.meta["n_intervals"]
-        return min(n - 1, int(math.floor(t * n / self.horizon + 1e-9)))
-
-    def _gains(self, t):
-        d, k = self.d, self.k
-        base = self._interval(t) * (k * d + k)
-        gain = self.theta[base:base + k * d].reshape(k, d)
-        offset = self.theta[base + k * d:base + k * d + k]
-        return base, gain, offset
-
-    def _phi(self, x, t):
-        """Feature matrix (B, F) and the per-feature time values."""
-        horizon = self.horizon
-        blocks = []
-        tvals = []
-        for uses_x, kind, rate in self.meta["parsed"]:
-            tv = _time_value(kind, rate, t, horizon)
-            tvals.append(tv)
-            if uses_x:
-                blocks.append(x * tv)
-            else:
-                blocks.append(np.full((x.shape[0], 1), tv))
-        return np.concatenate(blocks, axis=1), tvals
-
-    def _layers(self):
-        d, k = self.d, self.k
-        width = self.meta["width"]
-        n1 = width * (d + 2)
-        w1 = self.theta[:n1].reshape(width, d + 2)
-        b1 = self.theta[n1:n1 + width]
-        w2 = self.theta[n1 + width:n1 + width + k * width].reshape(k, width)
-        b2 = self.theta[n1 + width + k * width:]
-        return w1, b1, w2, b2
+        return x, t
 
     def evaluate(self, x, t):
         """u(x, t) for a state batch x (B, d) at scalar time t."""
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        if x.shape[1] != self.d:
-            raise ValidationError(f"state batch has {x.shape[1]} columns, "
-                                  f"control expects {self.d}")
-        t = float(t)
-        self._check_time(t)
-        if self.family == "linear_feedback":
-            _, gain, offset = self._gains(t)
-            return x @ gain.T + offset
-        if self.family == "feature_linear":
-            phi, _ = self._phi(x, t)
-            theta = self.theta.reshape(self.k, self._n_features())
-            return phi @ theta.T
-        w1, b1, w2, b2 = self._layers()
-        z = self._net_input(x, t)
-        hidden = np.tanh(z @ w1.T + b1)
-        return hidden @ w2.T + b2
-
-    def _net_input(self, x, t):
-        batch = x.shape[0]
-        extra = np.empty((batch, 2))
-        extra[:, 0] = t
-        extra[:, 1] = self.horizon - t
-        return np.concatenate([x, extra], axis=1)
+        return self._u(*self._point(x, t))
 
     def jacobians(self, x, t):
         """(du_dtheta (B,k,P), du_dx (B,k,d)) at (x, t)."""
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        t = float(t)
-        self._check_time(t)
-        batch, d, k = x.shape[0], self.d, self.k
-        if self.family == "linear_feedback":
-            base, gain, _ = self._gains(t)
-            du_dtheta = np.zeros((batch, k, self.n_params))
-            for c in range(k):
-                du_dtheta[:, c, base + c * d:base + (c + 1) * d] = x
-                du_dtheta[:, c, base + k * d + c] = 1.0
-            du_dx = np.broadcast_to(gain, (batch, k, d))
-            return du_dtheta, du_dx
-        if self.family == "feature_linear":
-            n_feat = self._n_features()
-            phi, _ = self._phi(x, t)
-            theta = self.theta.reshape(k, n_feat)
-            du_dtheta = np.zeros((batch, k, k * n_feat))
-            for c in range(k):
-                du_dtheta[:, c, c * n_feat:(c + 1) * n_feat] = phi
-            return du_dtheta, self.state_jacobian(x, t)
-        du_dtheta, du_dx = self._net_jacobians(x, t)
-        return du_dtheta, du_dx
+        x, t = self._point(x, t)
+        return self._du_dtheta(x, t), self._du_dx(x, t)
 
     def state_jacobian(self, x, t):
         """du_dx alone (B, k, d); cheaper than `jacobians` when P is large."""
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        t = float(t)
-        self._check_time(t)
-        batch, d, k = x.shape[0], self.d, self.k
-        if self.family == "linear_feedback":
-            _, gain, _ = self._gains(t)
-            return np.broadcast_to(gain, (batch, k, d))
-        if self.family == "feature_linear":
-            theta = self.theta.reshape(k, self._n_features())
-            du_dx = np.zeros((k, d))
-            col = 0
-            for uses_x, kind, rate in self.meta["parsed"]:
-                if uses_x:
-                    tv = _time_value(kind, rate, t, self.horizon)
-                    du_dx += tv * theta[:, col:col + d]
-                    col += d
-                else:
-                    col += 1
-            return np.broadcast_to(du_dx, (batch, k, d))
-        return self._net_jacobians(x, t)[1]
+        return self._du_dx(*self._point(x, t))
 
-    def _net_jacobians(self, x, t):
-        batch, d, k = x.shape[0], self.d, self.k
-        width = self.meta["width"]
-        w1, b1, w2, b2 = self._layers()
-        z = self._net_input(x, t)
-        hidden = np.tanh(z @ w1.T + b1)
+    def to_json_dict(self):
+        return {"family": self.family, "structure": self._structure(),
+                "theta": [float(v) for v in self.theta]}
+
+    @staticmethod
+    def from_json_dict(data):
+        """Inverse of `to_json_dict`; ValidationError on a malformed dict."""
+        try:
+            family = _FAMILIES[data["family"]]
+            return family(theta=data["theta"], **data["structure"])
+        except (KeyError, TypeError) as exc:
+            raise ValidationError(
+                f"malformed control JSON ({type(exc).__name__}: {exc}); "
+                f"families are {sorted(_FAMILIES)}") from None
+
+
+class _Affine(ControlModel):
+    """u = K(t) x + c(t); a family supplies `_affine(t)` -> (K, c)."""
+
+    affine = x_hessian_is_zero = True
+
+    def _u(self, x, t):
+        gain, offset = self._affine(t)
+        return x @ gain.T + offset
+
+    def _du_dx(self, x, t):
+        return np.broadcast_to(self._affine(t)[0], (x.shape[0], self.k,
+                                                    self.d))
+
+
+class _LinearFeedback(_Affine):
+    family = "linear_feedback"
+    _knob = "n_intervals"
+
+    def __init__(self, d, k, horizon, n_intervals, theta=None):
+        self.n_intervals = _positive_count(n_intervals, "n_intervals")
+        super().__init__(d, k, horizon, theta)
+
+    def _n_params(self):
+        return self.n_intervals * (self.k * self.d + self.k)
+
+    def _base(self, t):
+        """Offset of the active interval's block in theta."""
+        n = self.n_intervals
+        j = min(n - 1, int(math.floor(t * n / self.horizon + 1e-9)))
+        return j * (self.k * self.d + self.k)
+
+    def _affine(self, t):
+        d, k = self.d, self.k
+        base = self._base(t)
+        return (self.theta[base:base + k * d].reshape(k, d),
+                self.theta[base + k * d:base + k * d + k])
+
+    def _du_dtheta(self, x, t):
+        d, k = self.d, self.k
+        base = self._base(t)
+        du_dtheta = np.zeros((x.shape[0], k, self.n_params))
+        for c in range(k):
+            du_dtheta[:, c, base + c * d:base + (c + 1) * d] = x
+            du_dtheta[:, c, base + k * d + c] = 1.0
+        return du_dtheta
+
+
+class _FeatureLinear(_Affine):
+    family = "feature_linear"
+    _knob = "features"
+
+    def __init__(self, d, k, horizon, features, theta=None):
+        self.features = list(features)
+        if not self.features:
+            raise ValidationError("feature_linear needs at least one feature")
+        self._parsed = [_parse_feature(text) for text in self.features]
+        super().__init__(d, k, horizon, theta)
+
+    def _n_params(self):
+        return self.k * sum(self.d if uses_x else 1
+                            for uses_x, _ in self._parsed)
+
+    def _affine(self, t):
+        theta = self.theta.reshape(self.k, -1)
+        gain = np.zeros((self.k, self.d))
+        offset = np.zeros(self.k)
+        col = 0
+        for uses_x, time_fn in self._parsed:
+            tv = time_fn(t, self.horizon)
+            if uses_x:
+                gain += tv * theta[:, col:col + self.d]
+                col += self.d
+            else:
+                offset += tv * theta[:, col]
+                col += 1
+        return gain, offset
+
+    def _du_dtheta(self, x, t):
+        blocks = []
+        for uses_x, time_fn in self._parsed:
+            tv = time_fn(t, self.horizon)
+            blocks.append(x * tv if uses_x else np.full((x.shape[0], 1), tv))
+        phi = np.concatenate(blocks, axis=1)
+        n_feat = phi.shape[1]
+        du_dtheta = np.zeros((x.shape[0], self.k, self.k * n_feat))
+        for c in range(self.k):
+            du_dtheta[:, c, c * n_feat:(c + 1) * n_feat] = phi
+        return du_dtheta
+
+
+class _OneHiddenLayer(ControlModel):
+    family = "one_hidden_layer"
+    _knob = "width"
+
+    def __init__(self, d, k, horizon, width, theta=None):
+        self.width = _positive_count(width, "width")
+        if self.width > 64:
+            raise ValidationError(f"width must be in [1, 64], got {width}")
+        super().__init__(d, k, horizon, theta)
+        w1, self._b1, w2, self._b2 = np.split(self.theta, np.cumsum(
+            [self.width * (self.d + 2), self.width, self.k * self.width]))
+        self._w1 = w1.reshape(self.width, self.d + 2)
+        self._w2 = w2.reshape(self.k, self.width)
+
+    def _n_params(self):
+        return self.width * (self.d + 3 + self.k) + self.k
+
+    def _hidden(self, x, t):
+        """(network input z (B, d+2), tanh layer (B, width))."""
+        extra = np.empty((x.shape[0], 2))
+        extra[:, 0] = t
+        extra[:, 1] = self.horizon - t
+        z = np.concatenate([x, extra], axis=1)
+        return z, np.tanh(z @ self._w1.T + self._b1)
+
+    def _u(self, x, t):
+        return self._hidden(x, t)[1] @ self._w2.T + self._b2
+
+    def _du_dtheta(self, x, t):
+        batch, d, k, width = x.shape[0], self.d, self.k, self.width
+        z, hidden = self._hidden(x, t)
         gate = 1.0 - hidden * hidden  # (B, width)
-        dw1 = np.einsum("cj,bj,bl->bcjl", w2, gate, z).reshape(
+        dw1 = np.einsum("cj,bj,bl->bcjl", self._w2, gate, z).reshape(
             batch, k, width * (d + 2))
-        db1 = np.einsum("cj,bj->bcj", w2, gate)
+        db1 = np.einsum("cj,bj->bcj", self._w2, gate)
         dw2 = np.zeros((batch, k, k, width))
         for c in range(k):
             dw2[:, c, c, :] = hidden
         dw2 = dw2.reshape(batch, k, k * width)
         db2 = np.broadcast_to(np.eye(k), (batch, k, k))
-        du_dtheta = np.concatenate([dw1, db1, dw2, db2], axis=2)
-        du_dx = np.einsum("cj,bj,jp->bcp", w2, gate, w1[:, :d])
-        return du_dtheta, du_dx
+        return np.concatenate([dw1, db1, dw2, db2], axis=2)
 
-    # -- serialization -----------------------------------------------------
+    def _du_dx(self, x, t):
+        hidden = self._hidden(x, t)[1]
+        return np.einsum("cj,bj,jp->bcp", self._w2, 1.0 - hidden * hidden,
+                         self._w1[:, :self.d])
 
-    def to_json_dict(self):
-        structure = {"d": self.d, "k": self.k, "horizon": self.horizon}
-        if self.family == "linear_feedback":
-            structure["n_intervals"] = self.meta["n_intervals"]
-        elif self.family == "feature_linear":
-            structure["features"] = list(self.meta["features"])
-        else:
-            structure["width"] = self.meta["width"]
-        return {"family": self.family, "structure": structure,
-                "theta": [float(v) for v in self.theta]}
 
-    @classmethod
-    def from_json_dict(cls, data):
-        try:
-            family = data["family"]
-            structure = data["structure"]
-            theta = data["theta"]
-            d = structure["d"]
-            k = structure["k"]
-            horizon = structure["horizon"]
-        except (KeyError, TypeError) as exc:
-            raise ValidationError(f"malformed control JSON: missing {exc}")
-        if family == "linear_feedback":
-            return make_linear_feedback_control(
-                d, k, structure["n_intervals"], horizon, theta=theta)
-        if family == "feature_linear":
-            return make_feature_linear_control(
-                d, k, structure["features"], horizon, theta=theta)
-        if family == "one_hidden_layer":
-            return make_one_hidden_layer_control(
-                d, k, structure["width"], horizon, theta=theta)
-        raise ValidationError(f"unknown control family {family!r}")
+_FAMILIES = {cls.family: cls
+             for cls in (_LinearFeedback, _FeatureLinear, _OneHiddenLayer)}
 
 
 def make_linear_feedback_control(d, k, n_intervals, horizon, theta=None):
@@ -298,10 +280,7 @@ def make_linear_feedback_control(d, k, n_intervals, horizon, theta=None):
     Parameter layout per interval j: gain K_j row-major (k*d entries),
     then offset c_j (k entries).
     """
-    if n_intervals < 1:
-        raise ValidationError(f"n_intervals must be >= 1, got {n_intervals}")
-    return ControlModel("linear_feedback", d, k, horizon,
-                        {"n_intervals": int(n_intervals)}, theta=theta)
+    return _LinearFeedback(d, k, horizon, n_intervals, theta)
 
 
 def make_feature_linear_control(d, k, features, horizon, theta=None):
@@ -312,20 +291,15 @@ def make_feature_linear_control(d, k, features, horizon, theta=None):
     "x*exp(-<rate>*tau)". Scalar features contribute one column of phi;
     x-features contribute d columns. Theta is stored row-major (k rows).
     """
-    features = list(features)
-    if not features:
-        raise ValidationError("feature_linear needs at least one feature")
-    parsed = [_parse_feature(text) for text in features]
-    return ControlModel("feature_linear", d, k, horizon,
-                        {"features": features, "parsed": parsed}, theta=theta)
+    return _FeatureLinear(d, k, horizon, features, theta)
 
 
 def make_one_hidden_layer_control(d, k, width, horizon, theta=None):
-    """tanh network u = W2 tanh(W1 [x, t, horizon-t] + b1) + b2."""
-    if not 1 <= width <= 64:
-        raise ValidationError(f"width must be in [1, 64], got {width}")
-    return ControlModel("one_hidden_layer", d, k, horizon,
-                        {"width": int(width)}, theta=theta)
+    """tanh network u = W2 tanh(W1 [x, t, horizon-t] + b1) + b2.
+
+    Parameter layout: W1 (width, d+2) row-major, b1, W2 (k, width), b2.
+    """
+    return _OneHiddenLayer(d, k, horizon, width, theta)
 
 
 def save_control(control, path):
@@ -336,6 +310,8 @@ def save_control(control, path):
 
 
 def load_control(path):
+    """Read a control written by `save_control`; ValidationError if the
+    payload does not describe one."""
     with open(path) as fh:
         try:
             data = json.load(fh)

@@ -381,8 +381,16 @@ def _validate_sampler(problem):
 # constructors
 
 
+def _finite(value, name):
+    """`value` as a float64 array; ValidationError naming it if not finite."""
+    arr = np.asarray(value, dtype=np.float64)
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError(f"{name} must be finite, got {value!r}")
+    return arr
+
+
 def _as_matrix(value, shape, name):
-    arr = np.atleast_2d(np.asarray(value, dtype=np.float64))
+    arr = np.atleast_2d(_finite(value, name))
     if arr.shape != shape:
         raise ValidationError(f"{name}: expected shape {shape}, got {arr.shape}")
     arrel = arr.copy()
@@ -436,7 +444,7 @@ def make_lq_problem(a_mat, b_mat, sigma, q_run, q_term, horizon,
     horizon = _positive_horizon(horizon)
 
     mean = np.zeros(d) if x0_mean is None else \
-        np.asarray(x0_mean, dtype=np.float64).reshape(d)
+        _finite(x0_mean, "x0_mean").reshape(d)
     cov = np.eye(d) if x0_cov is None else \
         np.atleast_2d(np.asarray(x0_cov, dtype=np.float64))
     cov = _as_matrix(cov, (d, d), "x0_cov")
@@ -498,6 +506,7 @@ def make_ou_tilt_problem(rate, tilt, horizon):
     stationary N(0,1); the optimally controlled terminal law is
     N(0, 1/(1+tilt)).
     """
+    rate, tilt = float(_finite(rate, "rate")), float(_finite(tilt, "tilt"))
     if rate <= 0.0:
         raise ValidationError(f"rate must be positive, got {rate}")
     if tilt <= -1.0:
@@ -554,7 +563,9 @@ def make_scalar_geometric_problem(nu=0.2, horizon=1.0, x0_mean=1.0, x0_std=0.2):
     The state-dependent diffusion clears both capability flags, which makes
     this the stock instance for exercising the full (noise-coupled) adjoint.
     """
-    nu = float(nu)
+    nu = float(_finite(nu, "nu"))
+    x0_mean = float(_finite(x0_mean, "x0_mean"))
+    x0_std = float(_finite(x0_std, "x0_std"))
 
     def drift(x, u, t):
         return u * x

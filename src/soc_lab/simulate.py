@@ -52,9 +52,13 @@ def _positive_count(value, name):
 
 def _positive_horizon(horizon):
     """`horizon` as a float; ValidationError unless finite and positive."""
-    if not (horizon > 0.0 and math.isfinite(horizon)):
+    try:
+        ok = horizon > 0.0 and math.isfinite(horizon)
+    except TypeError:
+        ok = False
+    if not ok:
         raise ValidationError(
-            f"horizon must be finite and positive, got {horizon}")
+            f"horizon must be finite and positive, got {horizon!r}")
     return float(horizon)
 
 

@@ -8,7 +8,8 @@ inside the loss, so each iteration is plain gradient descent on a frozen
 quadratic-ish landscape; resampling the batch every iteration (default)
 turns this into stochastic descent on the surrogate objective.
 
-`msa_exact` replaces the gradient step for linear-in-parameter families by
+`msa_exact` replaces the gradient step for the affine control families
+(`control.affine`: u = K(t) x + c(t), linear in theta) by
 `msa_exact_step`, which solves for the theta at which the lean-AM gradient
 on the batch vanishes (control-affine-quadratic problems only): simulate,
 solve adjoints, fit the control, repeat.
@@ -31,7 +32,7 @@ from .errors import (SimulationError, TrainingAborted,
                      UnsupportedProblemError, ValidationError)
 from .hamiltonians import (bam_loss, lean_am_loss, quadratic_am_loss,
                            sample_pathwise_costs)
-from .simulate import simulate_batch
+from .simulate import _positive_count, simulate_batch
 
 logger = logging.getLogger(__name__)
 
@@ -59,11 +60,9 @@ class TrainConfig:
     msa_exact: bool = False
 
     def __post_init__(self):
-        if self.n_iters < 1:
-            raise ValidationError(f"n_iters must be >= 1, got {self.n_iters}")
-        if self.paths_per_iter < 1:
-            raise ValidationError(
-                f"paths_per_iter must be >= 1, got {self.paths_per_iter}")
+        for name in ("n_iters", "paths_per_iter"):
+            object.__setattr__(self, name,
+                               _positive_count(getattr(self, name), name))
         if self.loss_kind not in _LOSS_KINDS:
             raise ValidationError(
                 f"loss_kind must be one of {_LOSS_KINDS}, got {self.loss_kind!r}")
@@ -126,16 +125,16 @@ def _solve_loss(problem, control, batch, loss_kind):
 def msa_exact_step(problem, control, traj_batch, lean_adjoints):
     """Solve for the theta at which the lean-AM gradient on the batch vanishes.
 
-    Control-affine-quadratic problems only, where f + <b, a> is minimized
-    over u by u = -d2_drift' a; for linear families the zero is the fit
-    min_theta sum_i dt * mean_b |u_theta(X_i,t_i) + d2_drift_i' a_i|^2 by
-    the normal equations, or their pseudoinverse (with a warning) when
+    Control-affine-quadratic problems and affine controls only. There
+    f + <b, a> is minimized over u by u = -d2_drift' a, and the zero is
+    the fit min_theta sum_i dt * mean_b |u_theta(X_i,t_i) + d2_drift_i' a_i|^2
+    by the normal equations, or their pseudoinverse (with a warning) when
     they are near-singular. Returns the new parameter vector.
     """
-    if control.family not in ("linear_feedback", "feature_linear"):
+    if not control.affine:
         raise UnsupportedProblemError(
-            f"msa_exact_step needs a linear-in-parameters family, "
-            f"got {control.family!r}")
+            f"msa_exact_step needs an affine control family "
+            f"(u = K(t) x + c(t), linear in theta), got {control.family!r}")
     if not problem.control_affine_quadratic:
         raise UnsupportedProblemError(
             "msa_exact_step needs a control_affine_quadratic problem")

@@ -127,6 +127,37 @@ def test_frozen_control_wrapper(lq_control):
     np.testing.assert_array_equal(du_dx, 0.0)
     np.testing.assert_array_equal(du_dtheta,
                                   lq_control.jacobians(x, 0.2)[0])
+    assert frozen.n_params == lq_control.n_params
+    np.testing.assert_array_equal(frozen.theta, lq_control.theta)
+    assert frozen.with_theta(lq_control.theta + 1.0).x_hessian_is_zero
+
+
+def test_frozen_control_changes_no_theta_gradient(lq_problem, lq_control):
+    """Losses, per-path gradients, the theta-gradient and the MSA step use
+    u and du/dtheta only, so freezing du/dx changes none of them."""
+    batch = sl.simulate_batch(lq_problem, lq_control, sl.TimeGrid(20, 1.0),
+                              4, 16)
+    lean = sl.solve_lean_adjoint(lq_problem, lq_control, batch)
+    full = sl.solve_first_order_adjoint(lq_problem, lq_control, batch)
+    second = sl.solve_second_order_adjoint(lq_problem, lq_control, batch,
+                                           full)
+    calls = {
+        "theta_gradient": lambda c: sl.theta_gradient_via_adjoint(
+            lq_problem, c, batch, full),
+        "per_path": lambda c: sl.per_path_lean_am_gradients(
+            lq_problem, c, batch, full),
+        "lean_am": lambda c: sl.lean_am_loss(
+            lq_problem, c, batch, lean).grad_theta,
+        "quadratic_am": lambda c: sl.quadratic_am_loss(
+            lq_problem, c, batch, lean).grad_theta,
+        "bam": lambda c: sl.bam_loss(
+            lq_problem, c, batch, full, second).grad_theta,
+        "msa": lambda c: sl.msa_exact_step(lq_problem, c, batch, lean),
+    }
+    frozen = sl.freeze_control(lq_control)
+    for name, call in calls.items():
+        np.testing.assert_array_equal(call(frozen), call(lq_control),
+                                      err_msg=name)
 
 
 # ---------------------------------------------------------------------------

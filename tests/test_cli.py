@@ -249,6 +249,19 @@ def test_report_without_checkpoint_is_config_error(tmp_path, capsys):
     assert "checkpoint not found" in capsys.readouterr().err
 
 
+def test_report_on_malformed_checkpoint_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    _write_config(cfg)
+    checkpoint = tmp_path / "checkpoint.json"
+    checkpoint.write_text(json.dumps({
+        "family": "linear_feedback", "theta": [0.0, 0.0],
+        "structure": {"d": 1, "k": 1, "horizon": 1.0}}))
+    code = cli.main(["report", "--config", str(cfg), "--out",
+                     str(tmp_path / "out"), "--checkpoint", str(checkpoint)])
+    assert code == 1
+    assert "error: malformed control JSON" in capsys.readouterr().err
+
+
 def test_artifacts_are_rerun_invariant(tmp_path):
     cfg = tmp_path / "cfg.json"
     _write_config(cfg)

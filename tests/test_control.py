@@ -62,7 +62,7 @@ def test_linear_feedback_jacobians():
     theta = rng.standard_normal(3 * (1 * 2 + 1))
     ctrl = sl.make_linear_feedback_control(2, 1, 3, 1.0, theta=theta)
     _check_jacobians(ctrl, d=2)
-    assert ctrl.x_hessian_is_zero
+    assert ctrl.x_hessian_is_zero and ctrl.affine
 
 
 def test_feature_linear_evaluation_matches_manual():
@@ -84,7 +84,7 @@ def test_feature_linear_jacobians():
     ctrl = sl.make_feature_linear_control(2, 1, feats, 1.0, theta=theta)
     assert ctrl.n_params == n_cols
     _check_jacobians(ctrl, d=2)
-    assert ctrl.x_hessian_is_zero
+    assert ctrl.x_hessian_is_zero and ctrl.affine
 
 
 def test_feature_linear_rejects_unknown_feature():
@@ -102,7 +102,7 @@ def test_one_hidden_layer_jacobians():
     theta = 0.5 * rng.standard_normal(ctrl0.n_params)
     ctrl = ctrl0.with_theta(theta)
     _check_jacobians(ctrl, d=2, tol=5e-5)
-    assert not ctrl.x_hessian_is_zero
+    assert not ctrl.x_hessian_is_zero and not ctrl.affine
 
 
 def test_one_hidden_layer_width_bounds():
@@ -135,35 +135,81 @@ def test_n_params_formulas():
         4 * (2 + 2) + 4 + 1 * 4 + 1
 
 
+_FAMILIES = {
+    "linear_feedback": lambda: sl.make_linear_feedback_control(2, 1, 3, 2.0),
+    "feature_linear": lambda: sl.make_feature_linear_control(
+        1, 1, ["x", "x*exp(-1.5*tau)"], 2.0),
+    "one_hidden_layer": lambda: sl.make_one_hidden_layer_control(
+        2, 2, 4, 2.0),
+}
+
+
 def test_save_load_round_trip(tmp_path):
     rng = np.random.default_rng(_PROBE_SEED + 3)
-    ctrl = sl.make_feature_linear_control(
-        1, 1, ["x", "x*exp(-1.5*tau)"], 2.0,
-        theta=rng.standard_normal(2))
-    path = tmp_path / "ctrl.json"
-    sl.save_control(ctrl, path)
-    loaded = sl.load_control(path)
-    assert loaded.family == ctrl.family
-    assert loaded.horizon == ctrl.horizon
-    np.testing.assert_array_equal(loaded.theta, ctrl.theta)
-    x = np.array([[0.7]])
-    np.testing.assert_array_equal(loaded.evaluate(x, 0.4),
-                                  ctrl.evaluate(x, 0.4))
-    # the file itself is stable: saving the loaded model reproduces it
-    path2 = tmp_path / "ctrl2.json"
-    sl.save_control(loaded, path2)
-    assert path.read_bytes() == path2.read_bytes()
+    for family, build in _FAMILIES.items():
+        ctrl = build()
+        ctrl = ctrl.with_theta(rng.standard_normal(ctrl.n_params))
+        path = tmp_path / f"{family}.json"
+        sl.save_control(ctrl, path)
+        loaded = sl.load_control(path)
+        assert loaded.family == ctrl.family == family
+        assert loaded.horizon == ctrl.horizon
+        np.testing.assert_array_equal(loaded.theta, ctrl.theta)
+        x = rng.standard_normal((3, ctrl.d))
+        np.testing.assert_array_equal(loaded.evaluate(x, 0.4),
+                                      ctrl.evaluate(x, 0.4))
+        # the file itself is stable: saving the loaded model reproduces it
+        again = tmp_path / f"{family}_again.json"
+        sl.save_control(loaded, again)
+        assert path.read_bytes() == again.read_bytes()
+
+
+_GOOD = {"family": "linear_feedback",
+         "structure": {"d": 1, "k": 1, "horizon": 1.0, "n_intervals": 2},
+         "theta": [0.0, 0.0, 0.0, 0.0]}
+
+
+_CORRUPTIONS = {
+    "theta length": lambda p: p.update(theta=[0.0, 0.0, 0.0]),
+    "no n_intervals": lambda p: p["structure"].pop("n_intervals"),
+    "fractional n_intervals": lambda p: p["structure"].update(n_intervals=2.5),
+    "fractional d": lambda p: p["structure"].update(d=1.5),
+    "string horizon": lambda p: p["structure"].update(horizon="1.0"),
+    "another family's knob": lambda p: p["structure"].update(width=4),
+    "string theta": lambda p: p.update(theta=["a", "b", "c", "d"]),
+    "unknown family": lambda p: p.update(family="transformer"),
+    "no structure": lambda p: p.pop("structure"),
+    "non-string feature": lambda p: p.update(
+        family="feature_linear",
+        structure={"d": 1, "k": 1, "horizon": 1.0, "features": [1]}),
+}
 
 
 def test_load_rejects_corrupt_payload(tmp_path):
     path = tmp_path / "bad.json"
-    payload = {"family": "linear_feedback",
-               "structure": {"d": 1, "k": 1, "horizon": 1.0,
-                             "n_intervals": 2},
-               "theta": [0.0, 0.0, 0.0]}
-    path.write_text(json.dumps(payload))
-    with pytest.raises(sl.ValidationError):
-        sl.load_control(path)  # theta length mismatch
+    path.write_text(json.dumps(_GOOD))
+    sl.load_control(path)
+    for name, corrupt in _CORRUPTIONS.items():
+        payload = json.loads(json.dumps(_GOOD))
+        corrupt(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(sl.ValidationError):
+            sl.load_control(path)
+            pytest.fail(f"accepted a payload with {name}")
     path.write_text("{not json")
     with pytest.raises(sl.ConfigError):
         sl.load_control(path)
+
+
+@pytest.mark.parametrize("family", list(_FAMILIES))
+def test_every_entry_point_checks_the_point(family):
+    ctrl = _FAMILIES[family]()
+    good = np.zeros((3, ctrl.d))
+    for call in (ctrl.evaluate, ctrl.jacobians, ctrl.state_jacobian):
+        call(good, 1.0)
+        with pytest.raises(sl.ValidationError, match="state batch"):
+            call(np.zeros((3, ctrl.d + 1)), 1.0)
+        with pytest.raises(sl.ValidationError, match="outside control"):
+            call(good, 2.5)
+        with pytest.raises(sl.ValidationError, match="outside control"):
+            call(good, float("nan"))

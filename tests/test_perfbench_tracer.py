@@ -90,3 +90,17 @@ def test_tracer_wraps_every_layer_and_uninstall_restores_bindings():
         assert after[key].keys() == attrs.keys()
         assert [name for name, value in attrs.items()
                 if after[key][name] is not value] == []
+
+
+def test_no_control_family_bypasses_the_wrapped_methods():
+    """The tracer wraps evaluate / jacobians / state_jacobian on
+    ControlModel itself; a family overriding one would never be counted."""
+    families, pending = [], [sl.ControlModel]
+    while pending:
+        cls = pending.pop()
+        families.append(cls)
+        pending.extend(cls.__subclasses__())
+    assert len(families) > 3
+    wrapped = {"evaluate", "jacobians", "state_jacobian"}
+    for cls in families[1:]:
+        assert not wrapped & set(vars(cls)), cls.__name__

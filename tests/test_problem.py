@@ -96,6 +96,28 @@ def test_non_finite_horizon_is_refused(build, horizon):
         build(horizon)
 
 
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda: sl.make_lq_problem(_NAN, 1.0, 1.0, 0.0, 1.0, 1.0), "a_mat"),
+    (lambda: sl.make_lq_problem(-1.0, 1.0, [[_NAN]], 0.0, 1.0, 1.0),
+     "sigma"),
+    (lambda: sl.make_lq_problem(-1.0, 1.0, 1.0, 0.0, 1.0, 1.0,
+                                x0_mean=_NAN), "x0_mean"),
+    (lambda: sl.make_lq_problem(-1.0, 1.0, 1.0, 0.0, 1.0, 1.0,
+                                x0_cov=float("inf")), "x0_cov"),
+    (lambda: sl.make_ou_tilt_problem(_NAN, 1.0, 1.0), "rate"),
+    (lambda: sl.make_ou_tilt_problem(1.0, _NAN, 1.0), "tilt"),
+    (lambda: sl.make_scalar_geometric_problem(nu=_NAN), "nu"),
+    (lambda: sl.make_scalar_geometric_problem(x0_std=_NAN), "x0_std"),
+], ids=["lq_a", "lq_sigma", "lq_x0_mean", "lq_x0_cov", "ou_rate", "ou_tilt",
+        "sg_nu", "sg_x0_std"])
+def test_non_finite_parameter_is_named(build, name):
+    with pytest.raises(sl.ValidationError, match=f"{name} must be finite"):
+        build()
+
+
 def test_ou_tilt_parameters(ou_problem):
     assert ou_problem.ou_params.rate == 1.0
     assert ou_problem.ou_params.tilt == 1.0

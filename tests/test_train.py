@@ -137,6 +137,15 @@ def test_train_config_validation():
     with pytest.raises(sl.ValidationError):
         sl.TrainConfig(n_iters=1, paths_per_iter=8, step_size=1.0,
                        master_seed=0, loss_kind="huber")
+    # counts are integers: range() would refuse them only mid-training
+    with pytest.raises(sl.ValidationError, match="n_iters"):
+        sl.TrainConfig(n_iters=2.5, paths_per_iter=8, step_size=1.0,
+                       master_seed=0)
+    with pytest.raises(sl.ValidationError, match="paths_per_iter"):
+        sl.TrainConfig(n_iters=1, paths_per_iter="8", step_size=1.0,
+                       master_seed=0)
+    assert sl.TrainConfig(n_iters=np.int64(2), paths_per_iter=8,
+                          step_size=1.0, master_seed=0).n_iters == 2
 
 
 @pytest.mark.parametrize("field", ["step_size", "trust_region_radius"])
