@@ -16,7 +16,8 @@ Three vector adjoints share the terminal anchor a_N = grad_terminal(X_N):
     which ignores how the control feeds back into the state.
   * full  — total-derivative recursion including the diffusion coupling
     terms G_j = dsigma_dx_j + dsigma_du_j du_dx; reduces to `lean`
-    bit-for-bit when the diffusion is (x,u)-free and du_dx == 0.
+    bit-for-bit when the diffusion is (x,u)-free and du_dx == 0. A bundle
+    entry left as None is identically zero and is skipped, not contracted.
   * full_with_h — `full` plus a noise-coupled running term h(x,t).dB in
     the pathwise functional.
 
@@ -137,6 +138,7 @@ class _FrozenControl:
         return _FrozenControl(self._inner.with_theta(theta))
 
     def state_jacobian(self, x, t):
+        x, _ = self._point(x, t)
         return np.zeros((x.shape[0], self.k, self.d))
 
     def jacobians(self, x, t):
@@ -213,17 +215,17 @@ def _backward(solver, traj, anchor, step, wrap):
 
 
 def _frozen_steps(control, traj_batch):
-    """Walk a frozen batch: (i, t_i, X_i, u, du_dtheta) for i < n_steps.
+    """Walk a frozen batch: (i, t_i, X_i, u, cols, block) for i < n_steps.
 
     States stay as stored; u = control.evaluate(X_i, t_i) and its
-    parameter Jacobian are re-evaluated at the control's current theta.
+    parameter Jacobian, as `control.param_block`'s (cols, block), are
+    re-evaluated at the control's current theta.
     """
     grid, states, _, _, _ = _batch_view(traj_batch)
     for i, t in enumerate(grid.nodes[:-1].tolist()):
         x = states[:, i]
         u = control.evaluate(x, t)
-        du_dtheta, _ = control.jacobians(x, t)
-        yield i, t, x, u, du_dtheta
+        yield (i, t, x, u) + control.param_block(x, t)
 
 
 def _lean_hamiltonian(problem, x, u, t, a):
@@ -266,7 +268,8 @@ def _total_first_order(problem, control, x, u, t):
     """Total drift Jacobian, total cost gradient, diffusion couplings G.
 
     Returns (jac_x (B,d,d), grad_f (B,d), g (B,m,d,d), du_dx (B,k,d)) where
-    g[b,j] is the j-th noise column's total state Jacobian.
+    g[b,j] is the j-th noise column's total state Jacobian, or None when
+    the bundle declares both diffusion derivatives zero.
     """
     bundle = problem.derivatives
     du_dx = np.asarray(control.state_jacobian(x, t), dtype=np.float64)
@@ -274,8 +277,11 @@ def _total_first_order(problem, control, x, u, t):
         "bic,bcp->bip", bundle.d2_drift(x, u, t), du_dx)
     grad_f = bundle.d1_cost(x, u, t) + np.einsum(
         "bcp,bc->bp", du_dx, bundle.d2_cost(x, u, t))
-    g = bundle.dsigma_dx(x, u, t) + np.einsum(
-        "bjic,bcp->bjip", bundle.dsigma_du(x, u, t), du_dx)
+    g = (None if bundle.dsigma_dx is None
+         else np.asarray(bundle.dsigma_dx(x, u, t), dtype=np.float64))
+    if bundle.dsigma_du is not None:
+        coupled = np.einsum("bjic,bcp->bjip", bundle.dsigma_du(x, u, t), du_dx)
+        g = coupled if g is None else g + coupled
     return jac_x, grad_f, g, du_dx
 
 
@@ -300,11 +306,13 @@ def solve_first_order_adjoint(problem, control, traj, h_term=None):
 
     def step(i, x, u, t, db, a):
         jac_x, grad_f, g, _ = _total_first_order(problem, control, x, u, t)
-        c = np.einsum("bjip,bi->bjp", g, a)
+        a_new = a + dt * (np.einsum("bip,bi->bp", jac_x, a) + grad_f)
+        # c_j is identically zero without G and h: no noise coupling
+        c = None if g is None else np.einsum("bjip,bi->bjp", g, a)
         if h_term is not None:
-            c = c + np.asarray(h_term.grad(x, t), dtype=np.float64)
-        return (a + dt * (np.einsum("bip,bi->bp", jac_x, a) + grad_f)
-                + np.einsum("bjp,bj->bp", c, db))
+            grad_h = np.asarray(h_term.grad(x, t), dtype=np.float64)
+            c = grad_h if c is None else c + grad_h
+        return a_new if c is None else a_new + np.einsum("bjp,bj->bp", c, db)
 
     return _backward(f"{kind} adjoint", traj, _gradient_anchor(problem),
                      step, functools.partial(Adjoints, kind=kind))
@@ -385,21 +393,27 @@ def solve_second_order_adjoint(problem, control, traj, first):
             problem, control, x, u, t, du_dx)
         a_vec = first_values[:, i + 1]
         lyap = (np.einsum("bip,biq->bpq", jac_x, a_mat)
-                + np.einsum("bpi,biq->bpq", a_mat, jac_x)
-                + np.einsum("bjip,bir,bjrq->bpq", g, a_mat, g))
-        u_noise = (np.einsum("bpr,bjrq->bjpq", a_mat, g)
-                   + np.einsum("bjrp,brq->bjpq", g, a_mat))
-        # Absent Hessians are zero; skipping them keeps the sum's order.
+                + np.einsum("bpi,biq->bpq", a_mat, jac_x))
+        # Absent terms are zero; skipping them keeps the sums' order. With
+        # G = None every term of U_j but sum_i a^i hess_s_ij vanishes.
+        u_noise = None
+        if g is not None:
+            a_g = np.einsum("bpr,bjrq->bjpq", a_mat, g)
+            lyap = lyap + np.einsum("bjip,bjiq->bpq", g, a_g)
+            u_noise = a_g + np.einsum("bjrp,brq->bjpq", g, a_mat)
         if hess_f is not None:
             lyap = lyap + hess_f
         if hess_b is not None:
             lyap = lyap + np.einsum("bi,bipq->bpq", a_vec, hess_b)
         if hess_s is not None:
             a_hs = np.einsum("bi,bjipq->bjpq", a_vec, hess_s)
-            lyap = lyap + 0.5 * np.einsum("bjpr,bjrq->bpq", a_hs, g)
-            u_noise = u_noise + a_hs
-        return symmetric(a_mat + dt * lyap
-                         + np.einsum("bjpq,bj->bpq", u_noise, db))
+            if g is not None:
+                lyap = lyap + 0.5 * np.einsum("bjpr,bjrq->bpq", a_hs, g)
+            u_noise = a_hs if u_noise is None else u_noise + a_hs
+        a_new = a_mat + dt * lyap
+        if u_noise is not None:
+            a_new = a_new + np.einsum("bjpq,bj->bpq", u_noise, db)
+        return symmetric(a_new)
 
     return _backward(
         "second-order adjoint", traj,
@@ -486,11 +500,12 @@ def theta_gradient_via_adjoint(problem, control, traj, adjoint):
     for i in range(grid.n_steps):
         x, u, t = states[:, i], controls[:, i], float(nodes[i])
         a_next = values[:, i + 1]
-        du_dtheta, _ = control.jacobians(x, t)
+        cols, block = control.param_block(x, t)
         v = dt * _lean_u_gradient(problem, x, u, t, a_next)
-        v = v + np.einsum("bjic,bi,bj->bc", bundle.dsigma_du(x, u, t),
-                          a_next, increments[:, i])
-        grad += np.einsum("bcp,bc->bp", du_dtheta, v)
+        if bundle.dsigma_du is not None:
+            v = v + np.einsum("bjic,bi,bj->bc", bundle.dsigma_du(x, u, t),
+                              a_next, increments[:, i])
+        grad[:, cols] += np.einsum("bcp,bc->bp", block, v)
     return grad[0] if single else grad
 
 

@@ -304,6 +304,10 @@ def load_config(path):
 def _corrupted(problem, entry):
     """Scale one derivative-bundle entry by 1.01 (negative-test hook)."""
     original = getattr(problem.derivatives, entry)
+    if original is None:
+        raise ConfigError(
+            f"problem.corrupt_entry: {entry} is declared identically zero "
+            f"by problem {problem.name!r}; there is nothing to corrupt")
 
     def skewed(*args):
         return 1.01 * np.asarray(original(*args), dtype=np.float64)

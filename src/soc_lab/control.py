@@ -2,7 +2,9 @@
 
 A ControlModel maps (state batch, time) -> control batch through a flat
 parameter vector theta, and exposes the two Jacobians everything else
-needs: d u / d theta (B, k, P) and d u / d x (B, k, d). Families:
+needs: d u / d theta (B, k, P) and d u / d x (B, k, d). `param_block`
+gives d u / d theta as (column slice, block): every column outside the
+slice is zero at that time, so callers contract the block alone. Families:
 
   * linear_feedback  — piecewise-constant gains: u = K_j x + c_j on the
     j-th of n uniform intervals of [0, horizon].
@@ -57,6 +59,7 @@ class ControlModel:
     A family names its JSON tag (`family`) and its one structural keyword
     (`_knob`, also an attribute), and supplies `_n_params` and u, du/dtheta
     and du/dx (`_u`, `_du_dtheta`, `_du_dx`) at a checked (x, t).
+    `_du_dtheta` returns (cols, block) as `param_block` documents.
     `x_hessian_is_zero` says d2u/dx2 vanishes identically.
     """
 
@@ -107,10 +110,22 @@ class ControlModel:
         """u(x, t) for a state batch x (B, d) at scalar time t."""
         return self._u(*self._point(x, t))
 
+    def param_block(self, x, t):
+        """du/dtheta at (x, t) as (cols, block (B, k, width of cols)).
+
+        Columns of theta outside the slice `cols` have du/dtheta == 0
+        there, so `grad[..., cols] += ...` on the block equals the dense
+        contraction.
+        """
+        return self._du_dtheta(*self._point(x, t))
+
     def jacobians(self, x, t):
         """(du_dtheta (B,k,P), du_dx (B,k,d)) at (x, t)."""
         x, t = self._point(x, t)
-        return self._du_dtheta(x, t), self._du_dx(x, t)
+        cols, block = self._du_dtheta(x, t)
+        du_dtheta = np.zeros((x.shape[0], self.k, self.n_params))
+        du_dtheta[..., cols] = block
+        return du_dtheta, self._du_dx(x, t)
 
     def state_jacobian(self, x, t):
         """du_dx alone (B, k, d); cheaper than `jacobians` when P is large."""
@@ -158,9 +173,11 @@ class _LinearFeedback(_Affine):
         return self.n_intervals * (self.k * self.d + self.k)
 
     def _base(self, t):
-        """Offset of the active interval's block in theta."""
+        """Offset of the active interval's block in theta. A time in the
+        slack `_point` allows below 0 (above horizon) is in the first
+        (last) interval."""
         n = self.n_intervals
-        j = min(n - 1, int(math.floor(t * n / self.horizon + 1e-9)))
+        j = min(n - 1, max(0, int(math.floor(t * n / self.horizon + 1e-9))))
         return j * (self.k * self.d + self.k)
 
     def _affine(self, t):
@@ -170,13 +187,14 @@ class _LinearFeedback(_Affine):
                 self.theta[base + k * d:base + k * d + k])
 
     def _du_dtheta(self, x, t):
+        """Only the active interval's k*d + k columns."""
         d, k = self.d, self.k
-        base = self._base(t)
-        du_dtheta = np.zeros((x.shape[0], k, self.n_params))
+        block = np.zeros((x.shape[0], k, k * d + k))
         for c in range(k):
-            du_dtheta[:, c, base + c * d:base + (c + 1) * d] = x
-            du_dtheta[:, c, base + k * d + c] = 1.0
-        return du_dtheta
+            block[:, c, c * d:(c + 1) * d] = x
+            block[:, c, k * d + c] = 1.0
+        base = self._base(t)
+        return slice(base, base + k * d + k), block
 
 
 class _FeatureLinear(_Affine):
@@ -184,6 +202,9 @@ class _FeatureLinear(_Affine):
     _knob = "features"
 
     def __init__(self, d, k, horizon, features, theta=None):
+        if isinstance(features, str):  # list() would split it into letters
+            raise ValidationError(f"features must be a list of strings, "
+                                  f"got the string {features!r}")
         self.features = list(features)
         if not self.features:
             raise ValidationError("feature_linear needs at least one feature")
@@ -219,7 +240,7 @@ class _FeatureLinear(_Affine):
         du_dtheta = np.zeros((x.shape[0], self.k, self.k * n_feat))
         for c in range(self.k):
             du_dtheta[:, c, c * n_feat:(c + 1) * n_feat] = phi
-        return du_dtheta
+        return slice(None), du_dtheta
 
 
 class _OneHiddenLayer(ControlModel):
@@ -262,7 +283,7 @@ class _OneHiddenLayer(ControlModel):
             dw2[:, c, c, :] = hidden
         dw2 = dw2.reshape(batch, k, k * width)
         db2 = np.broadcast_to(np.eye(k), (batch, k, k))
-        return np.concatenate([dw1, db1, dw2, db2], axis=2)
+        return slice(None), np.concatenate([dw1, db1, dw2, db2], axis=2)
 
     def _du_dx(self, x, t):
         hidden = self._hidden(x, t)[1]

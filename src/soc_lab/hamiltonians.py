@@ -116,16 +116,17 @@ def _walk_loss(kind, control, traj_batch, adjoints, step):
     """LossReport of a per-step integrand on the frozen-batch walk.
 
     step(i, t, x, u, a_i) returns the per-path integrand at node i and its
-    derivative in u; the walk chains the latter through du/dtheta.
+    derivative in u; the walk chains the latter through du/dtheta's
+    nonzero block.
     """
     avals = _aligned(adjoints, traj_batch, "adjoints")
     dt = traj_batch.grid.dt
     per_time = np.empty(traj_batch.grid.n_steps)
     grad = np.zeros(control.n_params)
-    for i, t, x, u, du_dtheta in _frozen_steps(control, traj_batch):
+    for i, t, x, u, cols, block in _frozen_steps(control, traj_batch):
         value, v = step(i, t, x, u, avals[:, i])
         per_time[i] = value.mean()
-        grad += dt * np.einsum("bcp,bc->bp", du_dtheta, v).mean(axis=0)
+        grad[cols] += dt * np.einsum("bcp,bc->bp", block, v).mean(axis=0)
     return LossReport(kind=kind, loss_value=float(dt * per_time.sum()),
                       grad_theta=grad, per_time_terms=per_time,
                       n_paths=avals.shape[0])
@@ -150,17 +151,20 @@ def bam_loss(problem, control, traj_batch, adjoints, matrix_adjoints):
 
     The curvature term contributes tr(dsigma_du_c' A sigma) per control
     component to the gradient; it vanishes identically when sigma ignores
-    u, making the gradient equal to the lean one on the same inputs.
+    u, making the gradient equal to the lean one on the same inputs. A
+    bundle that declares dsigma_du zero (None) skips it.
     """
+    dsigma_du = problem.derivatives.dsigma_du
+
     def step(i, t, x, u, a):
         a_mat = mvals[:, i]
         sigma = problem.diffusion(x, u, t)
         ham = (_lean_hamiltonian(problem, x, u, t, a)
                + 0.5 * np.einsum("bij,bej,bie->b", sigma, sigma, a_mat))
-        a_sigma = np.einsum("bde,bej->bdj", a_mat, sigma)
-        v = (_lean_u_gradient(problem, x, u, t, a)
-             + np.einsum("bdj,bjdc->bc", a_sigma,
-                         problem.derivatives.dsigma_du(x, u, t)))
+        v = _lean_u_gradient(problem, x, u, t, a)
+        if dsigma_du is not None:
+            a_sigma = np.einsum("bde,bej->bdj", a_mat, sigma)
+            v = v + np.einsum("bdj,bjdc->bc", a_sigma, dsigma_du(x, u, t))
         return ham, v
 
     mvals = _aligned(matrix_adjoints, traj_batch, "matrix_adjoints",
@@ -179,9 +183,9 @@ def per_path_lean_am_gradients(problem, control, traj_batch, lean_adjoints):
     avals = _aligned(lean_adjoints, traj_batch, "lean_adjoints")
     dt = traj_batch.grid.dt
     grads = np.zeros((avals.shape[0], control.n_params))
-    for i, t, x, u, du_dtheta in _frozen_steps(control, traj_batch):
+    for i, t, x, u, cols, block in _frozen_steps(control, traj_batch):
         v = _lean_u_gradient(problem, x, u, t, avals[:, i])
-        grads += dt * np.einsum("bcp,bc->bp", du_dtheta, v)
+        grads[:, cols] += dt * np.einsum("bcp,bc->bp", block, v)
     return grads
 
 

@@ -79,8 +79,11 @@ class DerivativeBundle:
         dsigma_dx(x,u,t)[b,j,i,p]   = d sigma_ij / dx_p   (j = noise column)
         dsigma_du(x,u,t)[b,j,i,c]   = d sigma_ij / du_c
 
-    second_order is optional and only required by the matrix-adjoint
-    solver and its tests.
+    dsigma_dx and dsigma_du may each be left as None, meaning identically
+    zero: the solvers then skip the terms they would multiply, and
+    `validate_derivatives` checks the finite differences of the diffusion
+    against zero as for any other entry. second_order is optional and only
+    required by the matrix-adjoint solver and its tests.
     """
 
     d1_drift: Callable
@@ -89,8 +92,8 @@ class DerivativeBundle:
     d2_cost: Callable
     grad_terminal: Callable
     hess_terminal: Callable
-    dsigma_dx: Callable
-    dsigma_du: Callable
+    dsigma_dx: Optional[Callable] = None
+    dsigma_du: Optional[Callable] = None
     second_order: Optional[SecondOrderBundle] = None
 
 
@@ -258,8 +261,10 @@ def validate_derivatives(problem, n_probes=32, seed=0, step=1e-5, rtol=1e-5):
         # diffusion jacobians: fd gives (d, m, n); bundle stores (m, d, n)
         fd_sx = np.moveaxis(_central_diff(sigma_of_x, x, step), 1, 0)
         fd_su = np.moveaxis(_central_diff(sigma_of_u, u, step), 1, 0)
-        _check_close("dsigma_dx", bundle.dsigma_dx(xb, ub, t)[0], fd_sx, rtol, desc)
-        _check_close("dsigma_du", bundle.dsigma_du(xb, ub, t)[0], fd_su, rtol, desc)
+        _check_entry("dsigma_dx", bundle.dsigma_dx, (m, d, d), fd_sx,
+                     xb, ub, t, rtol, desc)
+        _check_entry("dsigma_du", bundle.dsigma_du, (m, d, k), fd_su,
+                     xb, ub, t, rtol, desc)
 
         if bundle.second_order is not None:
             _validate_second_order(problem, x, u, t, step, rtol, desc)
@@ -268,13 +273,15 @@ def validate_derivatives(problem, n_probes=32, seed=0, step=1e-5, rtol=1e-5):
     _validate_sampler(problem)
 
 
-def _second_entry(fn, shape):
-    """Evaluate an optional second-order callable; None means zero."""
-    def call(xb, ub, t):
-        if fn is None:
-            return np.zeros(shape)
-        return np.asarray(fn(xb, ub, t), dtype=np.float64)[0]
-    return call
+def _check_entry(entry, fn, shape, fd, xb, ub, t, rtol, desc):
+    """Compare an optional bundle entry at one probe with `fd`; an entry
+    left as None is identically zero and is labelled so on failure."""
+    if fn is None:
+        _check_close(f"{entry} (declared zero)", np.zeros(shape), fd, rtol,
+                     desc)
+    else:
+        _check_close(entry, np.asarray(fn(xb, ub, t), dtype=np.float64)[0],
+                     fd, rtol, desc)
 
 
 def _validate_second_order(problem, x, u, t, step, rtol, desc):
@@ -283,11 +290,15 @@ def _validate_second_order(problem, x, u, t, step, rtol, desc):
     so = bundle.second_order
     xb, ub = x[None, :], u[None, :]
 
+    # A first-order entry declared zero (None) has zero differences, so
+    # its Hessians are checked against zero without probing it.
     def fd_x(entry_fn):
-        return _central_diff(lambda z: entry_fn(z[None, :], ub, t)[0], x, step)
+        return None if entry_fn is None else _central_diff(
+            lambda z: entry_fn(z[None, :], ub, t)[0], x, step)
 
     def fd_u(entry_fn):
-        return _central_diff(lambda w: entry_fn(xb, w[None, :], t)[0], u, step)
+        return None if entry_fn is None else _central_diff(
+            lambda w: entry_fn(xb, w[None, :], t)[0], u, step)
 
     checks = [
         ("drift_hess_xx", so.drift_hess_xx, (d, d, d), fd_x(bundle.d1_drift)),
@@ -301,9 +312,8 @@ def _validate_second_order(problem, x, u, t, step, rtol, desc):
         ("sigma_hess_uu", so.sigma_hess_uu, (m, d, k, k), fd_u(bundle.dsigma_du)),
     ]
     for entry, fn, shape, fd in checks:
-        analytic = _second_entry(fn, shape)(xb, ub, t)
-        label = entry if fn is not None else f"{entry} (declared zero)"
-        _check_close(label, analytic, fd, rtol, desc)
+        _check_entry(entry, fn, shape, np.zeros(shape) if fd is None else fd,
+                     xb, ub, t, rtol, desc)
 
 
 def _validate_flags(problem, rng):
@@ -477,8 +487,6 @@ def make_lq_problem(a_mat, b_mat, sigma, q_run, q_term, horizon,
         d2_cost=lambda x, u, t: np.asarray(u, dtype=np.float64),
         grad_terminal=lambda x: x @ qt,
         hess_terminal=lambda x: np.broadcast_to(qt, (x.shape[0], d, d)),
-        dsigma_dx=lambda x, u, t: np.zeros((x.shape[0], m, d, d)),
-        dsigma_du=lambda x, u, t: np.zeros((x.shape[0], m, d, k)),
         second_order=SecondOrderBundle(
             cost_hess_xx=lambda x, u, t: np.broadcast_to(qr, (x.shape[0], d, d)),
             cost_hess_uu=lambda x, u, t: np.broadcast_to(eye_k, (x.shape[0], k, k)),
@@ -594,7 +602,6 @@ def make_scalar_geometric_problem(nu=0.2, horizon=1.0, x0_mean=1.0, x0_std=0.2):
         grad_terminal=lambda x: 2.0 * (x - 1.0),
         hess_terminal=lambda x: np.full((x.shape[0], 1, 1), 2.0),
         dsigma_dx=lambda x, u, t: np.full((x.shape[0], 1, 1, 1), nu),
-        dsigma_du=lambda x, u, t: np.zeros((x.shape[0], 1, 1, 1)),
         second_order=SecondOrderBundle(
             drift_hess_xu=lambda x, u, t: np.ones((x.shape[0], 1, 1, 1)),
             cost_hess_uu=lambda x, u, t: np.ones((x.shape[0], 1, 1)),

@@ -142,11 +142,11 @@ def msa_exact_step(problem, control, traj_batch, lean_adjoints):
     dt = traj_batch.grid.dt
     normal = np.zeros((control.n_params, control.n_params))
     rhs = np.zeros(control.n_params)
-    for i, t, x, u, du_dtheta in _frozen_steps(control, traj_batch):
+    for i, t, x, u, cols, block in _frozen_steps(control, traj_batch):
         target = -np.einsum("bic,bi->bc",
                             problem.derivatives.d2_drift(x, u, t), avals[:, i])
-        normal += dt * np.einsum("bcp,bcq->pq", du_dtheta, du_dtheta)
-        rhs += dt * np.einsum("bcp,bc->p", du_dtheta, target)
+        normal[cols, cols] += dt * np.einsum("bcp,bcq->pq", block, block)
+        rhs[cols] += dt * np.einsum("bcp,bc->p", block, target)
     cond = np.linalg.cond(normal)
     if not np.isfinite(cond) or cond > 1e12:
         logger.warning("normal equations ill-conditioned (cond=%.3e); "

@@ -8,6 +8,8 @@ comparisons then confirm the same thing against code that knows nothing
 about adjoints.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,13 +19,18 @@ from conftest import make_mild_feedback
 
 
 def _total_step_pieces(problem, control, x, u, t):
-    """Total-derivative coefficients of one forward step, batch of one."""
+    """Total-derivative coefficients of one forward step, batch of one.
+    A diffusion derivative the bundle leaves as None is read as zero."""
     bundle = problem.derivatives
+    d, k, m = problem.d, problem.k, problem.m
     du_dx = np.asarray(control.state_jacobian(x, t), dtype=np.float64)
     jac = bundle.d1_drift(x, u, t) + np.einsum(
         "bic,bcp->bip", bundle.d2_drift(x, u, t), du_dx)
-    g = bundle.dsigma_dx(x, u, t) + np.einsum(
-        "bjic,bcp->bjip", bundle.dsigma_du(x, u, t), du_dx)
+    dsigma_dx = (np.zeros((1, m, d, d)) if bundle.dsigma_dx is None
+                 else bundle.dsigma_dx(x, u, t))
+    dsigma_du = (np.zeros((1, m, d, k)) if bundle.dsigma_du is None
+                 else bundle.dsigma_du(x, u, t))
+    g = dsigma_dx + np.einsum("bjic,bcp->bjip", dsigma_du, du_dx)
     grad_f = bundle.d1_cost(x, u, t) + np.einsum(
         "bcp,bc->bp", du_dx, bundle.d2_cost(x, u, t))
     return jac[0], g[0], grad_f[0]
@@ -130,6 +137,12 @@ def test_frozen_control_wrapper(lq_control):
     assert frozen.n_params == lq_control.n_params
     np.testing.assert_array_equal(frozen.theta, lq_control.theta)
     assert frozen.with_theta(lq_control.theta + 1.0).x_hessian_is_zero
+    two_pieces = sl.freeze_control(sl.make_linear_feedback_control(1, 1, 2,
+                                                                   1.0))
+    with pytest.raises(sl.ValidationError, match="state batch"):
+        two_pieces.state_jacobian(np.zeros((3, 2)), 0.5)
+    with pytest.raises(sl.ValidationError, match="outside control"):
+        two_pieces.state_jacobian(np.zeros((3, 1)), 5.0)
 
 
 def test_frozen_control_changes_no_theta_gradient(lq_problem, lq_control):
@@ -158,6 +171,73 @@ def test_frozen_control_changes_no_theta_gradient(lq_problem, lq_control):
     for name, call in calls.items():
         np.testing.assert_array_equal(call(frozen), call(lq_control),
                                       err_msg=name)
+
+
+def _with_explicit_zero_sigma_derivatives(problem):
+    """`problem` rebuilt with all-zero dsigma_dx / dsigma_du callbacks in
+    place of the entries it declares zero (None)."""
+    d, k, m = problem.d, problem.k, problem.m
+    bundle = dataclasses.replace(
+        problem.derivatives,
+        dsigma_dx=lambda x, u, t: np.zeros((x.shape[0], m, d, d)),
+        dsigma_du=lambda x, u, t: np.zeros((x.shape[0], m, d, k)))
+    return sl.make_controlled_diffusion_problem(
+        d, k, m, problem.horizon, problem.drift, problem.diffusion,
+        problem.running_cost, problem.terminal_cost,
+        problem.initial_sampler, bundle, name="explicit_zeros")
+
+
+@pytest.mark.parametrize("d", (1, 4))
+def test_declared_zeros_equal_explicit_zeros(d):
+    """Skipping the terms of a None diffusion derivative gives the same
+    bits as contracting all-zero arrays, in every solver and loss. d = 1 is
+    the built-in CLI problem; d = 4 is the benchmark's solver sweep."""
+    if d == 1:
+        problem = sl.make_lq_problem(-1.0, 1.0, np.sqrt(2.0), 0.0, 1.0, 5.0)
+        control = sl.make_linear_feedback_control(
+            1, 1, 10, 5.0, theta=np.tile([-0.4, 0.05], 10))
+    else:
+        problem = sl.make_lq_problem(
+            -0.5 * np.eye(d) + 0.1 * np.eye(d, k=1), np.eye(d), np.eye(d),
+            0.5 * np.eye(d), np.eye(d), 1.0)
+        piece = np.concatenate([(-0.4 * np.eye(d)).ravel(), np.full(d, 0.05)])
+        control = sl.make_linear_feedback_control(d, d, 4, 1.0,
+                                                  theta=np.tile(piece, 4))
+    assert problem.derivatives.dsigma_dx is None
+    assert problem.derivatives.dsigma_du is None
+    explicit = _with_explicit_zero_sigma_derivatives(problem)
+    grid = sl.TimeGrid(40, problem.horizon)
+    frozen = sl.freeze_control(control)
+
+    def outputs(prob):
+        batch = sl.simulate_batch(prob, control, grid, 6, 32)
+        lean = sl.solve_lean_adjoint(prob, control, batch)
+        full = sl.solve_first_order_adjoint(prob, control, batch)
+        frozen_full = sl.solve_first_order_adjoint(prob, frozen, batch)
+        frozen_second = sl.solve_second_order_adjoint(prob, frozen, batch,
+                                                      frozen_full)
+        return {
+            "states": batch.states, "lean": lean.values,
+            "full": full.values, "frozen_full": frozen_full.values,
+            "second": sl.solve_second_order_adjoint(prob, control, batch,
+                                                    full).values,
+            "frozen_second": frozen_second.values,
+            "theta_gradient": sl.theta_gradient_via_adjoint(prob, control,
+                                                            batch, full),
+            "lean_am": sl.lean_am_loss(prob, control, batch,
+                                       lean).grad_theta,
+            "quadratic_am": sl.quadratic_am_loss(prob, control, batch,
+                                                 lean).grad_theta,
+            "bam": sl.bam_loss(prob, control, batch, frozen_full,
+                               frozen_second).grad_theta,
+            "per_path": sl.per_path_lean_am_gradients(prob, control, batch,
+                                                      lean),
+            "msa": sl.msa_exact_step(prob, control, batch, lean),
+        }
+
+    declared, contracted = outputs(problem), outputs(explicit)
+    for name, value in declared.items():
+        np.testing.assert_array_equal(value, contracted[name], err_msg=name)
 
 
 # ---------------------------------------------------------------------------

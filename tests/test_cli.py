@@ -312,6 +312,21 @@ def test_corrupt_bundle_fails_validation(tmp_path, capsys):
     assert "problem.validation" in err and "d1_drift" in err
 
 
+def test_corrupting_a_declared_zero_entry_is_a_config_error(tmp_path,
+                                                            capsys):
+    """The LQ bundle declares dsigma_dx zero (None): there is nothing to
+    scale, so the negative-test hook refuses instead of testing nothing."""
+    cfg = tmp_path / "cfg.json"
+    base = _write_config(cfg, checks=[])
+    base["problem"]["corrupt_entry"] = "dsigma_dx"
+    cfg.write_text(json.dumps(base))
+    code = cli.main(["check", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "problem.corrupt_entry" in err and "dsigma_dx" in err
+
+
 def test_failing_check_is_named_on_stderr(tmp_path, capsys):
     # memorylessness on a short-horizon problem genuinely fails
     cfg = tmp_path / "cfg.json"

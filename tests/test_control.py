@@ -55,6 +55,10 @@ def test_linear_feedback_piecewise_evaluation():
     assert ctrl.evaluate(x, 1.0)[0, 0] == pytest.approx(-5.5)
     # t = horizon clamps to the last interval instead of indexing past it
     assert ctrl.evaluate(x, 2.0)[0, 0] == pytest.approx(-5.5)
+    # and a time inside the allowed slack below 0 to the first one
+    assert ctrl.evaluate(x, -1.5e-9)[0, 0] == pytest.approx(3.0)
+    np.testing.assert_array_equal(ctrl.jacobians(x, -1.5e-9)[0],
+                                  [[[3.0, 1.0, 0.0, 0.0]]])
 
 
 def test_linear_feedback_jacobians():
@@ -94,6 +98,9 @@ def test_feature_linear_rejects_unknown_feature():
         sl.make_feature_linear_control(1, 1, ["exp(2*tau)"], 1.0)
     with pytest.raises(sl.ValidationError):
         sl.make_feature_linear_control(1, 1, [], 1.0)
+    for text in ("x", "x*tau"):  # not split into one feature per letter
+        with pytest.raises(sl.ValidationError, match="list of strings"):
+            sl.make_feature_linear_control(1, 1, text, 1.0)
 
 
 def test_one_hidden_layer_jacobians():
@@ -205,7 +212,8 @@ def test_load_rejects_corrupt_payload(tmp_path):
 def test_every_entry_point_checks_the_point(family):
     ctrl = _FAMILIES[family]()
     good = np.zeros((3, ctrl.d))
-    for call in (ctrl.evaluate, ctrl.jacobians, ctrl.state_jacobian):
+    for call in (ctrl.evaluate, ctrl.jacobians, ctrl.state_jacobian,
+                 ctrl.param_block):
         call(good, 1.0)
         with pytest.raises(sl.ValidationError, match="state batch"):
             call(np.zeros((3, ctrl.d + 1)), 1.0)
@@ -213,3 +221,23 @@ def test_every_entry_point_checks_the_point(family):
             call(good, 2.5)
         with pytest.raises(sl.ValidationError, match="outside control"):
             call(good, float("nan"))
+
+
+@pytest.mark.parametrize("frozen", (False, True), ids=("plain", "frozen"))
+@pytest.mark.parametrize("family", list(_FAMILIES))
+def test_param_block_scatters_to_the_dense_jacobian(family, frozen):
+    """The (cols, block) du/dtheta, scattered into zeros, is `jacobians`'s
+    dense one bit for bit, at interior times and interval boundaries."""
+    rng = np.random.default_rng(_PROBE_SEED + 4)
+    ctrl = _FAMILIES[family]()
+    ctrl = ctrl.with_theta(rng.standard_normal(ctrl.n_params))
+    if frozen:
+        ctrl = sl.freeze_control(ctrl)
+    x = rng.standard_normal((5, ctrl.d))
+    for t in (0.0, 0.3, 2.0 / 3.0, 1.0, 1.9, 2.0):
+        cols, block = ctrl.param_block(x, t)
+        dense = np.zeros((5, ctrl.k, ctrl.n_params))
+        dense[..., cols] = block
+        np.testing.assert_array_equal(dense, ctrl.jacobians(x, t)[0])
+        if family == "linear_feedback":  # the active interval's block only
+            assert block.shape == (5, ctrl.k, ctrl.k * ctrl.d + ctrl.k)

@@ -48,6 +48,15 @@ def test_corrupt_terminal_hessian_is_caught(sg_problem):
         sl.validate_derivatives(broken, n_probes=8)
 
 
+def test_wrongly_declared_zero_is_caught(sg_problem):
+    """sigma = nu x depends on x, so dsigma_dx may not be declared zero."""
+    bad = dataclasses.replace(sg_problem.derivatives, dsigma_dx=None)
+    broken = dataclasses.replace(sg_problem, derivatives=bad)
+    with pytest.raises(sl.ValidationError,
+                       match=r"dsigma_dx \(declared zero\)"):
+        sl.validate_derivatives(broken, n_probes=8)
+
+
 def test_scalar_lq_matches_matrix_lq():
     scal = sl.make_lq_problem(0.3, 1.0, 0.8, 0.5, 1.0, 1.0)
     mat = sl.make_lq_problem(np.array([[0.3]]), np.array([[1.0]]),
