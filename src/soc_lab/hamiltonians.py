@@ -235,13 +235,19 @@ def sample_pathwise_costs(problem, control, grid, master_seed, n_paths,
     return costs, terminal
 
 
+def _mean_se(costs):
+    """(mean, standard error) of a 1-D sample; the error of one draw is 0."""
+    n = len(costs)
+    se = float(costs.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    return float(costs.mean()), se
+
+
 def soc_objective(problem, control, grid, master_seed, n_paths,
                   x0_seed=None):
     """Monte-Carlo estimate of the discrete control cost: (mean, std error)."""
     costs, _ = sample_pathwise_costs(problem, control, grid, master_seed,
                                      n_paths, x0_seed=x0_seed)
-    se = float(costs.std(ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
-    return float(costs.mean()), se
+    return _mean_se(costs)
 
 
 def write_loss_reports_csv(reports, path):

@@ -27,12 +27,12 @@ import logging
 import math
 
 import numpy as np
-import scipy.integrate
 
 from . import _io
 from .adjoint import solve_lean_adjoint
 from .control import make_linear_feedback_control
 from .errors import UnsupportedProblemError, ValidationError
+from .problem import _central_diff
 from .simulate import (TimeGrid, TrajectoryBatch, _positive_count, _rollout,
                        draw_batch_inputs, simulate_costs, simulate_forward)
 
@@ -66,16 +66,9 @@ def fd_pathwise_gradient(problem, control, grid, noise, x0, step=1e-5,
                          h_term=None):
     """Central-difference gradient of the frozen-noise pathwise cost."""
     x0 = np.asarray(x0, dtype=np.float64).reshape(problem.d)
-    grad = np.empty(problem.d)
-    for p in range(problem.d):
-        xp = x0.copy()
-        xm = x0.copy()
-        xp[p] += step
-        xm[p] -= step
-        grad[p] = (pathwise_value(problem, control, grid, noise, xp, h_term)
-                   - pathwise_value(problem, control, grid, noise, xm, h_term)
-                   ) / (2.0 * step)
-    return grad
+    return _central_diff(
+        lambda z: pathwise_value(problem, control, grid, noise, z, h_term),
+        x0, step)
 
 
 def fd_pathwise_hessian(problem, control, grid, noise, x0, step=1e-4):
@@ -142,8 +135,8 @@ def _riccati_rhs(p, a_mat, bbt, q_run):
     return -(a_mat.T @ p + p @ a_mat - p @ bbt @ p + q_run)
 
 
-def solve_riccati(problem, grid, refine=10):
-    """RK4 backward integration on a `refine`-times finer grid.
+def solve_riccati(problem, grid):
+    """RK4 backward integration on a 10-times finer grid.
 
     Returns node values only (downsampled); raises ValidationError with
     the blow-up time if the solution escapes (|P| > 1e12 or non-finite).
@@ -154,6 +147,7 @@ def solve_riccati(problem, grid, refine=10):
     sst = data.sigma @ data.sigma.T
     q_run = data.q_run
     d = a_mat.shape[0]
+    refine = 10
     n_fine = grid.n_steps * refine
     dt_fine = grid.horizon / n_fine
     p_fine = np.empty((n_fine + 1, d, d))
@@ -188,7 +182,9 @@ def solve_riccati(problem, grid, refine=10):
 class LQValueFunction:
     """Dense-in-time LQ value function via adaptive backward integration."""
 
-    def __init__(self, problem, rtol=1e-11, atol=1e-12):
+    def __init__(self, problem):
+        import scipy.integrate  # imported here only: it is slow to load
+
         data = _lq_data(problem)
         self.data = data
         d = data.a_mat.shape[0]
@@ -206,7 +202,7 @@ class LQValueFunction:
         y_end = np.concatenate([data.q_term.ravel(), [0.0]])
         sol = scipy.integrate.solve_ivp(
             rhs, (horizon, 0.0), y_end, dense_output=True,
-            rtol=rtol, atol=atol, method="RK45")
+            rtol=1e-11, atol=1e-12, method="RK45")
         if not sol.success:
             raise ValidationError(f"value-function integration failed: "
                                   f"{sol.message}")
@@ -332,13 +328,12 @@ class SmpReport:
               bool(abs(r.z_score) <= 3.0)] for r in self.rows])
 
 
-def smp_representation_check(problem, grid, n_paths, seed, n_times=5,
-                             n_bins=21, block_size=16384):
+def smp_representation_check(problem, grid, n_paths, seed, block_size=16384):
     """Check E[adjoint | X_t] = P(t) X_t along optimally controlled paths.
 
     Scalar LQ only. Simulates under the Riccati feedback, solves the lean
-    adjoint blockwise, and at `n_times` interior nodes regresses the
-    adjoint on the state through `n_bins` equal-probability bin means
+    adjoint blockwise, and at 5 interior nodes regresses the adjoint on
+    the state through 21 equal-probability bin means
     (ordinary least squares on the bin points, slope standard error from
     their residuals). Each slope must sit within 3 SEs of P(t); the report
     also carries the implied noise costate q* = P(t) sigma.
@@ -348,6 +343,7 @@ def smp_representation_check(problem, grid, n_paths, seed, n_times=5,
             "smp_representation_check supports scalar problems only")
     n_paths = _positive_count(n_paths, "n_paths")
     block_size = _positive_count(block_size, "block_size")
+    n_times, n_bins = 5, 21
     data = _lq_data(problem)
     ric = solve_riccati(problem, grid)
     n = grid.n_steps
@@ -442,12 +438,12 @@ class HjbResidualReport:
              for r in self.rows])
 
 
-def _min_hamiltonian(problem, x_val, t, p, m_val, u_grid):
+def _min_hamiltonian(problem, x_val, t, p, m_val):
     """min_u [f + b p + 0.5 sigma^2 m] at a scalar state point.
 
     Control-affine-quadratic problems use the closed form
-    f0 + b0 p - 0.5 |d2_drift' p|^2 + 0.5 sigma^2 m; otherwise a grid
-    search over u_grid.
+    f0 + b0 p - 0.5 |d2_drift' p|^2 + 0.5 sigma^2 m; otherwise (k == 1
+    only) a grid search over 501 points of u in [-5, 5].
     """
     x = np.array([[x_val]])
     if problem.control_affine_quadratic:
@@ -458,9 +454,7 @@ def _min_hamiltonian(problem, x_val, t, p, m_val, u_grid):
         sig = float(problem.diffusion(x, zero_u, t)[0, 0, 0])
         return (f0 + b0 * p - 0.5 * float(bu @ bu) * p * p
                 + 0.5 * sig * sig * m_val)
-    if u_grid is None:
-        u_grid = np.linspace(-5.0, 5.0, 501)
-    us = np.asarray(u_grid, dtype=np.float64).reshape(-1, problem.k)
+    us = np.linspace(-5.0, 5.0, 501)[:, None]
     xs = np.broadcast_to(x, (us.shape[0], 1))
     sig = problem.diffusion(xs, us, t)[:, 0, 0]
     vals = (problem.running_cost(xs, us, t)
@@ -470,16 +464,19 @@ def _min_hamiltonian(problem, x_val, t, p, m_val, u_grid):
 
 
 def hjb_residual_1d(problem, control, x_grid, t_grid, n_paths, seed,
-                    value_fn=None, n_steps=250, n_blocks=8, fd_step_x=0.1,
-                    fd_step_t=1e-4, u_grid=None):
+                    value_fn=None, n_steps=250, n_blocks=8):
     """Pointwise residual of the dynamic-programming equation in 1-D:
 
         residual(x,t) = dV/dt + min_u [ f + drift * dV/dx
                                         + 0.5 sigma^2 d2V/dx2 ].
 
+    The minimum over u is in closed form for control-affine-quadratic
+    problems and a grid search over u in [-5, 5] otherwise, which needs
+    k == 1. The x-stencil step is 0.1.
+
     Analytic mode (value_fn given): V and its finite differences come from
-    the callable (steps fd_step_x / fd_step_t, independent of the report
-    grid); noise floors are zero and every row is reliable.
+    the callable (time step 1e-4, independent of the report grid); noise
+    floors are zero and every row is reliable.
 
     Monte-Carlo mode: V(x,t) is estimated as the mean cost-to-go of
     simulated paths on a master grid with `n_steps` steps. All stencil
@@ -491,13 +488,18 @@ def hjb_residual_1d(problem, control, x_grid, t_grid, n_paths, seed,
     """
     if problem.d != 1:
         raise UnsupportedProblemError("hjb_residual_1d supports d == 1 only")
+    if problem.k != 1 and not problem.control_affine_quadratic:
+        raise UnsupportedProblemError(
+            "hjb_residual_1d searches u on a 1-D grid: k must be 1 unless "
+            "the problem is control-affine-quadratic")
     x_grid = np.asarray(x_grid, dtype=np.float64).reshape(-1)
     t_grid = np.asarray(t_grid, dtype=np.float64).reshape(-1)
     horizon = problem.horizon
+    hx = 0.1
 
     if value_fn is not None:
         rows = []
-        hx, ht = fd_step_x, fd_step_t
+        ht = 1e-4
         for t in t_grid:
             t = float(t)
             if t < ht or t > horizon - ht:
@@ -511,8 +513,7 @@ def hjb_residual_1d(problem, control, x_grid, t_grid, n_paths, seed,
                          + value_fn([xv - hx], t)) / hx**2
                 dv_dt = (value_fn([xv], t + ht)
                          - value_fn([xv], t - ht)) / (2 * ht)
-                res = dv_dt + _min_hamiltonian(problem, xv, t, p, m_val,
-                                               u_grid)
+                res = dv_dt + _min_hamiltonian(problem, xv, t, p, m_val)
                 rows.append(HjbResidualRow(time=t, state=xv, residual=res,
                                            noise_floor=0.0, reliable=True))
         return HjbResidualReport(rows=rows, mode="analytic")
@@ -530,7 +531,6 @@ def hjb_residual_1d(problem, control, x_grid, t_grid, n_paths, seed,
         levels_of_node.append(l)
     needed_levels = sorted({l + off for l in levels_of_node
                             for off in (-1, 0, 1)})
-    hx = fd_step_x
     starts = sorted({round(float(xv) + s * hx, 12)
                      for xv in x_grid for s in (-1.0, 0.0, 1.0)})
     start_of = {v: j for j, v in enumerate(starts)}
@@ -575,7 +575,7 @@ def hjb_residual_1d(problem, control, x_grid, t_grid, n_paths, seed,
                 m_val = (j_hi - 2.0 * j_c + j_lo) / hx**2
                 dv_dt = (j_up - j_dn) / (2 * dt)
                 res_blocks[blk] = dv_dt + _min_hamiltonian(
-                    problem, xv, t_snap, p, m_val, u_grid)
+                    problem, xv, t_snap, p, m_val)
             res = float(res_blocks.mean())
             floor = float(res_blocks.std(ddof=1) / math.sqrt(n_blocks))
             rows.append(HjbResidualRow(time=t_snap, state=xv, residual=res,

@@ -20,7 +20,9 @@ noise column, column index first.
 
 Analytic derivatives are trusted but verified: `validate_derivatives`
 compares every bundle entry against central finite differences at random
-probe points, and the problem constructors run it before returning.
+probe points, and the problem constructors run it before returning. The
+capability flags are never declared: every ProblemSpec probes them from
+its callbacks when it is constructed.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import numpy as np
 
 from . import _rng
 from .errors import ValidationError
-from .simulate import _positive_horizon
+from .simulate import _positive_count, _positive_horizon
 
 
 @dataclasses.dataclass(frozen=True)
@@ -135,7 +137,9 @@ class OUParams:
 class ProblemSpec:
     """A controlled diffusion with costs and analytic derivatives.
 
-    Capability flags:
+    Construction checks the sizes and horizon and probes the capability
+    flags from the callbacks (they cannot be passed in; a copy made with
+    `dataclasses.replace` probes them again):
         diffusion_time_only: sigma(x,u,t) does not depend on (x,u).
         control_affine_quadratic: drift affine in u and
             running_cost(x,u,t) = base(x,t) + 0.5*|u|^2, with
@@ -152,11 +156,22 @@ class ProblemSpec:
     terminal_cost: Callable
     initial_sampler: Callable
     derivatives: DerivativeBundle
-    diffusion_time_only: bool
-    control_affine_quadratic: bool
+    diffusion_time_only: bool = dataclasses.field(init=False)
+    control_affine_quadratic: bool = dataclasses.field(init=False)
     name: str = "custom"
     lq_data: Optional[LQData] = None
     ou_params: Optional[OUParams] = None
+
+    def __post_init__(self):
+        for size in ("d", "k", "m"):
+            object.__setattr__(self, size,
+                               _positive_count(getattr(self, size), size))
+        object.__setattr__(self, "horizon", _positive_horizon(self.horizon))
+        rng = _rng.philox_generator(0, 1, _rng.PROBE)
+        dto = _probe_diffusion_time_only(self, rng)
+        object.__setattr__(self, "diffusion_time_only", dto)
+        object.__setattr__(self, "control_affine_quadratic",
+                           dto and _probe_control_affine_quadratic(self, rng))
 
     def sample_initial(self, seed, path_index):
         """Draw one initial state; (seed, path_index) fully determine it."""
@@ -204,132 +219,99 @@ def _check_close(entry, analytic, fd, rtol, probe_desc):
 
 
 def validate_derivatives(problem, n_probes=32, seed=0, step=1e-5, rtol=1e-5):
-    """Check every derivative-bundle entry and capability flag by probing.
+    """Check every derivative-bundle entry by probing.
 
-    Draws `n_probes` points (x, u ~ N(0,1), t ~ U(0, horizon)), compares each
-    analytic derivative against a central finite difference of the callback
-    it differentiates, and re-derives the capability flags. Second-order
-    entries, when a SecondOrderBundle is present, are checked against finite
-    differences of the first-order entries; entries left as None are checked
-    to be actually zero.
-
-    Exactness legs of the control_affine_quadratic probe are evaluated at
-    x = 0 (where the u-independent part of drift and cost vanishes exactly
-    in floating point); random-x legs use a 1e-12 tolerance.
+    Draws `n_probes` points (x, u ~ N(0,1), t ~ U(0, horizon)) and compares
+    each analytic derivative against a central finite difference of the
+    callback it differentiates. Second-order entries, when a
+    SecondOrderBundle is present, are checked against finite differences of
+    the first-order entries; entries left as None are checked to be actually
+    zero, or refused if required. The capability flags are not checked
+    here: ProblemSpec probes them at construction.
 
     Raises ValidationError naming the offending entry and probe point.
     """
-    d, k, m = problem.d, problem.k, problem.m
-    bundle = problem.derivatives
     rng = _rng.philox_generator(seed, 0, _rng.PROBE)
-
     for p in range(n_probes):
-        x = rng.standard_normal(d)
-        u = rng.standard_normal(k)
+        x = rng.standard_normal(problem.d)
+        u = rng.standard_normal(problem.k)
         t = float(rng.uniform(0.0, problem.horizon))
         desc = f"probe {p} (t={t:.6f})"
-        xb = x[None, :]
-        ub = u[None, :]
-
-        drift_of_x = lambda z: problem.drift(z[None, :], ub, t)[0]
-        drift_of_u = lambda w: problem.drift(xb, w[None, :], t)[0]
-        cost_of_x = lambda z: problem.running_cost(z[None, :], ub, t)[0]
-        cost_of_u = lambda w: problem.running_cost(xb, w[None, :], t)[0]
-        sigma_of_x = lambda z: problem.diffusion(z[None, :], ub, t)[0]
-        sigma_of_u = lambda w: problem.diffusion(xb, w[None, :], t)[0]
-        term_of_x = lambda z: problem.terminal_cost(z[None, :])[0]
-
-        _check_close("d1_drift", bundle.d1_drift(xb, ub, t)[0],
-                     _central_diff(drift_of_x, x, step), rtol, desc)
-        _check_close("d2_drift", bundle.d2_drift(xb, ub, t)[0],
-                     _central_diff(drift_of_u, u, step), rtol, desc)
-        _check_close("d1_cost", bundle.d1_cost(xb, ub, t)[0],
-                     _central_diff(cost_of_x, x, step), rtol, desc)
-        _check_close("d2_cost", bundle.d2_cost(xb, ub, t)[0],
-                     _central_diff(cost_of_u, u, step), rtol, desc)
-        _check_close("grad_terminal", bundle.grad_terminal(xb)[0],
-                     _central_diff(term_of_x, x, step), rtol, desc)
-
-        hess_term = bundle.hess_terminal(xb)[0]
-        _check_close(
-            "hess_terminal", hess_term,
-            _central_diff(lambda z: bundle.grad_terminal(z[None, :])[0], x, step),
-            rtol, desc)
-        if not np.allclose(hess_term, hess_term.T, atol=1e-12):
-            raise ValidationError(f"hess_terminal not symmetric at {desc}")
-
-        # diffusion jacobians: fd gives (d, m, n); bundle stores (m, d, n)
-        fd_sx = np.moveaxis(_central_diff(sigma_of_x, x, step), 1, 0)
-        fd_su = np.moveaxis(_central_diff(sigma_of_u, u, step), 1, 0)
-        _check_entry("dsigma_dx", bundle.dsigma_dx, (m, d, d), fd_sx,
-                     xb, ub, t, rtol, desc)
-        _check_entry("dsigma_du", bundle.dsigma_du, (m, d, k), fd_su,
-                     xb, ub, t, rtol, desc)
-
-        if bundle.second_order is not None:
-            _validate_second_order(problem, x, u, t, step, rtol, desc)
-
-    _validate_flags(problem, rng)
+        for row in _derivative_checks(problem, x, u, t, step):
+            value = _check_entry(*row, x[None, :], u[None, :], t, rtol, desc)
+            if row[0] == "hess_terminal" and not np.allclose(
+                    value, value.T, atol=1e-12):
+                raise ValidationError(f"hess_terminal not symmetric at {desc}")
     _validate_sampler(problem)
 
 
-def _check_entry(entry, fn, shape, fd, xb, ub, t, rtol, desc):
-    """Compare an optional bundle entry at one probe with `fd`; an entry
-    left as None is identically zero and is labelled so on failure."""
-    if fn is None:
-        _check_close(f"{entry} (declared zero)", np.zeros(shape), fd, rtol,
-                     desc)
-    else:
-        _check_close(entry, np.asarray(fn(xb, ub, t), dtype=np.float64)[0],
-                     fd, rtol, desc)
-
-
-def _validate_second_order(problem, x, u, t, step, rtol, desc):
+def _derivative_checks(problem, x, u, t, step):
+    """Rows (entry, fn(x, u, t), zero_shape, finite differences), in check
+    order, for every bundle entry at one probe point. zero_shape None marks
+    a required entry. A first-order entry declared zero (None) has zero
+    differences, so its Hessians are checked against zero without probing
+    it. Rows are yielded lazily: grad_terminal is checked before
+    hess_terminal differentiates it."""
     d, k, m = problem.d, problem.k, problem.m
     bundle = problem.derivatives
-    so = bundle.second_order
     xb, ub = x[None, :], u[None, :]
 
-    # A first-order entry declared zero (None) has zero differences, so
-    # its Hessians are checked against zero without probing it.
-    def fd_x(entry_fn):
-        return None if entry_fn is None else _central_diff(
-            lambda z: entry_fn(z[None, :], ub, t)[0], x, step)
+    def fd_x(fn, shape=None):
+        if fn is None:
+            return np.zeros(shape)
+        return _central_diff(lambda z: fn(z[None, :], ub, t)[0], x, step)
 
-    def fd_u(entry_fn):
-        return None if entry_fn is None else _central_diff(
-            lambda w: entry_fn(xb, w[None, :], t)[0], u, step)
+    def fd_u(fn, shape=None):
+        if fn is None:
+            return np.zeros(shape)
+        return _central_diff(lambda w: fn(xb, w[None, :], t)[0], u, step)
 
-    checks = [
-        ("drift_hess_xx", so.drift_hess_xx, (d, d, d), fd_x(bundle.d1_drift)),
-        ("drift_hess_xu", so.drift_hess_xu, (d, d, k), fd_u(bundle.d1_drift)),
-        ("drift_hess_uu", so.drift_hess_uu, (d, k, k), fd_u(bundle.d2_drift)),
-        ("cost_hess_xx", so.cost_hess_xx, (d, d), fd_x(bundle.d1_cost)),
-        ("cost_hess_xu", so.cost_hess_xu, (d, k), fd_u(bundle.d1_cost)),
-        ("cost_hess_uu", so.cost_hess_uu, (k, k), fd_u(bundle.d2_cost)),
-        ("sigma_hess_xx", so.sigma_hess_xx, (m, d, d, d), fd_x(bundle.dsigma_dx)),
-        ("sigma_hess_xu", so.sigma_hess_xu, (m, d, d, k), fd_u(bundle.dsigma_dx)),
-        ("sigma_hess_uu", so.sigma_hess_uu, (m, d, k, k), fd_u(bundle.dsigma_du)),
-    ]
-    for entry, fn, shape, fd in checks:
-        _check_entry(entry, fn, shape, np.zeros(shape) if fd is None else fd,
-                     xb, ub, t, rtol, desc)
+    def of_x(fn):
+        return None if fn is None else (lambda xs, us, ts: fn(xs))
+
+    grad_terminal = of_x(bundle.grad_terminal)
+    yield "d1_drift", bundle.d1_drift, None, fd_x(problem.drift)
+    yield "d2_drift", bundle.d2_drift, None, fd_u(problem.drift)
+    yield "d1_cost", bundle.d1_cost, None, fd_x(problem.running_cost)
+    yield "d2_cost", bundle.d2_cost, None, fd_u(problem.running_cost)
+    yield ("grad_terminal", grad_terminal, None,
+           fd_x(of_x(problem.terminal_cost)))
+    yield ("hess_terminal", of_x(bundle.hess_terminal), None,
+           fd_x(grad_terminal))
+    # diffusion jacobians: fd gives (d, m, n); bundle stores (m, d, n)
+    yield ("dsigma_dx", bundle.dsigma_dx, (m, d, d),
+           np.moveaxis(fd_x(problem.diffusion), 1, 0))
+    yield ("dsigma_du", bundle.dsigma_du, (m, d, k),
+           np.moveaxis(fd_u(problem.diffusion), 1, 0))
+
+    so = bundle.second_order
+    if so is None:
+        return
+    for entry, fd, first, shape in (
+            ("drift_hess_xx", fd_x, bundle.d1_drift, (d, d, d)),
+            ("drift_hess_xu", fd_u, bundle.d1_drift, (d, d, k)),
+            ("drift_hess_uu", fd_u, bundle.d2_drift, (d, k, k)),
+            ("cost_hess_xx", fd_x, bundle.d1_cost, (d, d)),
+            ("cost_hess_xu", fd_u, bundle.d1_cost, (d, k)),
+            ("cost_hess_uu", fd_u, bundle.d2_cost, (k, k)),
+            ("sigma_hess_xx", fd_x, bundle.dsigma_dx, (m, d, d, d)),
+            ("sigma_hess_xu", fd_u, bundle.dsigma_dx, (m, d, d, k)),
+            ("sigma_hess_uu", fd_u, bundle.dsigma_du, (m, d, k, k))):
+        yield entry, getattr(so, entry), shape, fd(first, shape)
 
 
-def _validate_flags(problem, rng):
-    """Re-derive the capability flags and compare with the declared ones."""
-    probed_dto = _probe_diffusion_time_only(problem, rng)
-    if problem.diffusion_time_only != probed_dto:
-        raise ValidationError(
-            f"diffusion_time_only declared {problem.diffusion_time_only} "
-            f"but probes say {probed_dto}"
-        )
-    probed_caq = probed_dto and _probe_control_affine_quadratic(problem, rng)
-    if problem.control_affine_quadratic != probed_caq:
-        raise ValidationError(
-            f"control_affine_quadratic declared "
-            f"{problem.control_affine_quadratic} but probes say {probed_caq}"
-        )
+def _check_entry(entry, fn, zero_shape, fd, xb, ub, t, rtol, desc):
+    """Compare a bundle entry at one probe with `fd` and return its value;
+    an optional entry left as None is identically zero and is labelled so
+    on failure."""
+    if fn is not None:
+        value = np.asarray(fn(xb, ub, t), dtype=np.float64)[0]
+        _check_close(entry, value, fd, rtol, desc)
+        return value
+    if zero_shape is None:
+        raise ValidationError(f"{entry} is required")
+    _check_close(f"{entry} (declared zero)", np.zeros(zero_shape), fd, rtol,
+                 desc)
 
 
 def _probe_diffusion_time_only(problem, rng):
@@ -431,8 +413,8 @@ def make_lq_problem(a_mat, b_mat, sigma, q_run, q_term, horizon,
 
     Scalars are accepted for 1x1 matrices. Gaussian initial law
     N(x0_mean, x0_cov), defaulting to N(0, I). Cost matrices must be
-    symmetric PSD; the returned problem carries both capability flags and
-    the matrices (`lq_data`) for closed-form companions.
+    symmetric PSD; the returned problem probes both capability flags True
+    and carries the matrices (`lq_data`) for closed-form companions.
     """
     a = np.atleast_2d(np.asarray(a_mat, dtype=np.float64))
     d = a.shape[0]
@@ -451,7 +433,6 @@ def make_lq_problem(a_mat, b_mat, sigma, q_run, q_term, horizon,
     qt = _as_matrix(q_term, (d, d), "q_term")
     _check_sym_psd(qr, "q_run")
     _check_sym_psd(qt, "q_term")
-    horizon = _positive_horizon(horizon)
 
     mean = np.zeros(d) if x0_mean is None else \
         _finite(x0_mean, "x0_mean").reshape(d)
@@ -498,7 +479,6 @@ def make_lq_problem(a_mat, b_mat, sigma, q_run, q_term, horizon,
         drift=drift, diffusion=diffusion,
         running_cost=running_cost, terminal_cost=terminal_cost,
         initial_sampler=initial_sampler, derivatives=bundle,
-        diffusion_time_only=True, control_affine_quadratic=True,
         name="lq",
         lq_data=LQData(a, b, s, qr, qt, mean.copy(), cov),
     )
@@ -533,34 +513,24 @@ def make_ou_tilt_problem(rate, tilt, horizon):
 def make_controlled_diffusion_problem(d, k, m, horizon, drift, diffusion,
                                       running_cost, terminal_cost,
                                       initial_sampler, derivatives,
-                                      name="custom", probe_seed=0):
+                                      name="custom"):
     """Assemble and validate a problem from user callbacks.
 
-    Runs the full derivative validation (raising ValidationError on the
-    first failing entry) and probes the capability flags: diffusion is
-    classified time-only when it never responds to (x, u) probes, and
-    control_affine_quadratic additionally requires affine drift and an
-    exact 0.5*|u|^2 control cost.
+    The ProblemSpec checks the sizes and horizon and probes the capability
+    flags at construction: diffusion is classified time-only when it never
+    responds to (x, u) probes, and control_affine_quadratic additionally
+    requires affine drift and an exact 0.5*|u|^2 control cost. Then runs
+    the full derivative validation, raising ValidationError on the first
+    failing entry.
     """
-    if d <= 0 or k <= 0 or m <= 0:
-        raise ValidationError(f"dimensions must be positive: d={d}, k={k}, m={m}")
-    horizon = _positive_horizon(horizon)
-
-    rng = _rng.philox_generator(probe_seed, 1, _rng.PROBE)
-    trial = ProblemSpec(
+    problem = ProblemSpec(
         d=d, k=k, m=m, horizon=horizon,
         drift=drift, diffusion=diffusion,
         running_cost=running_cost, terminal_cost=terminal_cost,
         initial_sampler=initial_sampler, derivatives=derivatives,
-        diffusion_time_only=False, control_affine_quadratic=False,
         name=name,
     )
-    dto = _probe_diffusion_time_only(trial, rng)
-    caq = dto and _probe_control_affine_quadratic(trial, rng)
-    problem = dataclasses.replace(
-        trial, diffusion_time_only=dto, control_affine_quadratic=caq
-    )
-    validate_derivatives(problem, n_probes=32, seed=probe_seed)
+    validate_derivatives(problem, n_probes=32)
     return problem
 
 

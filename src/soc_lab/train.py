@@ -30,8 +30,8 @@ from .adjoint import (_aligned, _frozen_steps, freeze_control,
                       solve_second_order_adjoint)
 from .errors import (SimulationError, TrainingAborted,
                      UnsupportedProblemError, ValidationError)
-from .hamiltonians import (bam_loss, lean_am_loss, quadratic_am_loss,
-                           sample_pathwise_costs)
+from .hamiltonians import (_mean_se, bam_loss, lean_am_loss,
+                           quadratic_am_loss, sample_pathwise_costs)
 from .simulate import _positive_count, simulate_batch
 
 logger = logging.getLogger(__name__)
@@ -181,10 +181,7 @@ def train_adjoint_matching(problem, control, grid, config):
                                        config.loss_kind)
         except SimulationError as exc:
             abort(it, str(exc))
-        costs = batch.pathwise_costs
-        objective = float(costs.mean())
-        objective_se = (float(costs.std(ddof=1) / math.sqrt(len(costs)))
-                        if len(costs) > 1 else 0.0)
+        objective, objective_se = _mean_se(batch.pathwise_costs)
         if not math.isfinite(report.loss_value):
             abort(it, f"non-finite loss {report.loss_value!r}")
         if not np.all(np.isfinite(report.grad_theta)):
@@ -215,9 +212,9 @@ def evaluate_checkpoint(problem, control, grid, master_seed, n_paths):
     """Fresh-path metrics for a control: objective and terminal-state stats."""
     costs, terminal = sample_pathwise_costs(problem, control, grid,
                                             master_seed, n_paths)
-    se = (float(costs.std(ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0)
+    objective, se = _mean_se(costs)
     metrics = {
-        "objective": float(costs.mean()),
+        "objective": objective,
         "objective_se": se,
         "n_paths": int(n_paths),
     }

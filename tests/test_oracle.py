@@ -8,6 +8,10 @@ checks where no closed form is available.
 """
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -320,6 +324,30 @@ def test_hjb_monte_carlo_flags_suboptimal_control():
     assert abs(good_row.residual) < abs(bad_row.residual) / 3.0
 
 
+def test_hjb_refuses_grid_search_over_vector_control():
+    """Without the control-affine-quadratic closed form the minimum over u
+    is a grid search on [-5, 5], which covers k = 1 only."""
+    problem = sl.make_controlled_diffusion_problem(
+        d=1, k=2, m=1, horizon=1.0,
+        drift=lambda x, u, t: u.sum(axis=1, keepdims=True),
+        diffusion=lambda x, u, t: 0.3 * x[:, :, None],
+        running_cost=lambda x, u, t: 0.5 * np.einsum("bk,bk->b", u, u),
+        terminal_cost=lambda x: np.einsum("bi,bi->b", x, x),
+        initial_sampler=lambda seed, path_index: np.ones(1),
+        derivatives=sl.DerivativeBundle(
+            d1_drift=lambda x, u, t: np.zeros((x.shape[0], 1, 1)),
+            d2_drift=lambda x, u, t: np.ones((x.shape[0], 1, 2)),
+            d1_cost=lambda x, u, t: np.zeros_like(x),
+            d2_cost=lambda x, u, t: np.asarray(u),
+            grad_terminal=lambda x: 2.0 * x,
+            hess_terminal=lambda x: np.full((x.shape[0], 1, 1), 2.0),
+            dsigma_dx=lambda x, u, t: np.full((x.shape[0], 1, 1, 1), 0.3)))
+    assert not problem.control_affine_quadratic
+    with pytest.raises(sl.UnsupportedProblemError, match="k must be 1"):
+        sl.hjb_residual_1d(problem, None, x_grid=[0.5], t_grid=[0.5],
+                           n_paths=0, seed=0, value_fn=lambda x, t: 0.0)
+
+
 def test_hjb_csv(tmp_path, lq_problem):
     vf = sl.LQValueFunction(lq_problem)
     report = sl.hjb_residual_1d(lq_problem, None, x_grid=[0.5],
@@ -329,3 +357,16 @@ def test_hjb_csv(tmp_path, lq_problem):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "t,x,residual,noise_floor,reliable"
     assert len(lines) == 2
+
+
+def test_package_import_leaves_scipy_unloaded():
+    """scipy is imported only when LQValueFunction integrates; this test
+    module has loaded it already, so the import runs in a fresh process."""
+    src = str(pathlib.Path(sl.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, soc_lab, soc_lab.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -7,7 +7,7 @@ import pytest
 
 import soc_lab as sl
 
-from conftest import build_zero_cost_problem
+from conftest import build_zero_cost_problem, make_mild_feedback
 
 
 def test_lq_bundle_passes_validation(lq_problem):
@@ -241,3 +241,63 @@ def test_h_term_shapes(lq_problem):
     x = np.array([[0.3], [1.1]])
     assert h.value(x, 0.5).shape == (2, 1)
     assert h.grad(x, 0.5).shape == (2, 1, 1)
+
+
+_SPEC_FIELDS = ("d", "k", "m", "horizon", "drift", "diffusion", "running_cost",
+                "terminal_cost", "initial_sampler", "derivatives")
+
+
+def _fields_of(problem):
+    return {name: getattr(problem, name) for name in _SPEC_FIELDS}
+
+
+def test_directly_built_spec_probes_its_flags(sg_problem):
+    """sigma = nu x depends on the state even without a builder, so the
+    methods that need time-only noise refuse the spec."""
+    spec = sl.ProblemSpec(**_fields_of(sg_problem))
+    assert not spec.diffusion_time_only
+    assert not spec.control_affine_quadratic
+    ctrl = make_mild_feedback(1, 1, 1.0)
+    batch = sl.simulate_batch(spec, ctrl, sl.TimeGrid(10, 1.0), 0, 4)
+    lean = sl.solve_lean_adjoint(spec, ctrl, batch)
+    with pytest.raises(sl.UnsupportedProblemError):
+        sl.quadratic_am_loss(spec, ctrl, batch, lean)
+    with pytest.raises(sl.UnsupportedProblemError):
+        sl.msa_exact_step(spec, ctrl, batch, lean)
+
+
+@pytest.mark.parametrize("flag", ["diffusion_time_only",
+                                  "control_affine_quadratic"])
+def test_flags_cannot_be_declared(sg_problem, flag):
+    with pytest.raises(TypeError, match=flag):
+        sl.ProblemSpec(**_fields_of(sg_problem), **{flag: True})
+    with pytest.raises(ValueError, match=flag):
+        dataclasses.replace(sg_problem, **{flag: True})
+
+
+def test_replaced_spec_probes_its_flags_again(lq_problem):
+    copy = dataclasses.replace(lq_problem,
+                               diffusion=lambda x, u, t: 0.8 * x[:, :, None])
+    assert not copy.diffusion_time_only
+    assert not copy.control_affine_quadratic
+
+
+def test_required_entry_left_none_is_refused(lq_problem):
+    bad = dataclasses.replace(lq_problem.derivatives, d1_cost=None)
+    broken = dataclasses.replace(lq_problem, derivatives=bad)
+    with pytest.raises(sl.ValidationError, match="d1_cost is required"):
+        sl.validate_derivatives(broken, n_probes=1)
+
+
+@pytest.mark.parametrize("name, value, match", [
+    ("d", 1.5, "d must be an integer"),
+    ("k", 0, "k must be >= 1"),
+    ("horizon", -1.0, "horizon must be finite and positive"),
+])
+@pytest.mark.parametrize("build", [sl.ProblemSpec,
+                                   sl.make_controlled_diffusion_problem],
+                         ids=["spec", "builder"])
+def test_spec_checks_sizes_and_horizon(sg_problem, build, name, value, match):
+    fields = dict(_fields_of(sg_problem), **{name: value})
+    with pytest.raises(sl.ValidationError, match=match):
+        build(**fields)
