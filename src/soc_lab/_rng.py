@@ -79,6 +79,11 @@ def _rekeyed(seed, path_index=0, stream=BROWNIAN):
     reset to 0, and the output buffer and cached 32-bit half discarded.
     Valid until the next call on this thread.
     """
+    return _rekey(_key_words(seed, path_index, stream))
+
+
+def _rekey(key):
+    """`_rekeyed` for key words that `_key_words` has already checked."""
     try:
         state, bits, gen = _local.philox
     except AttributeError:
@@ -89,6 +94,6 @@ def _rekeyed(seed, path_index=0, stream=BROWNIAN):
                  "buffer": (0, 0, 0, 0), "buffer_pos": 4,
                  "has_uint32": 0, "uinteger": 0}
         _local.philox = state, bits, gen
-    state["state"]["key"] = _key_words(seed, path_index, stream)
+    state["state"]["key"] = key
     bits.state = state
     return gen

@@ -34,7 +34,9 @@ association order; agreement is floating-point tight, not just O(dt)).
 
 Every solver is an anchor at node n plus one backward step, run by the
 one sweep `_backward`, which also checks the values for non-finite entries
-once. Adjoints of every kind come back as `Adjoints`, propagators as
+once. The walks that are not recursions (the matching losses, the
+per-path and theta-gradients, the MSA step) read the stored batch through
+one walker, `_walk`, in chunks of grid nodes. Adjoints of every kind come back as `Adjoints`, propagators as
 `Propagators`; each holds a batch, or one path when solved from one
 Trajectory or indexed out of a batch.
 """
@@ -51,6 +53,12 @@ from . import _io
 from .errors import UnsupportedProblemError, ValidationError
 from .simulate import (TimeGrid, Trajectory, TrajectoryBatch, _non_finite,
                        _time_major)
+
+# Bound on the entries of du/dtheta's block in one chunk of a frozen-batch
+# walk. It admits 16 nodes of the trainer's 1,024 scalar paths, spreading
+# each call's fixed cost thin, and keeps a chunk's temporaries cache-sized;
+# a batch whose block at one node exceeds it is walked node by node.
+_CHUNK_BLOCK = 32768
 
 LEAN = "lean"
 FULL = "full"
@@ -214,18 +222,43 @@ def _backward(solver, traj, anchor, step, wrap):
     return out[0] if single else out
 
 
-def _frozen_steps(control, traj_batch):
-    """Walk a frozen batch: (i, t_i, X_i, u, cols, block) for i < n_steps.
+def _walk(problem, control, traj, *stored):
+    """Walk a frozen batch in chunks of grid nodes.
 
-    States stay as stored; u = control.evaluate(X_i, t_i) and its
-    parameter Jacobian, as `control.param_block`'s (cols, block), are
-    re-evaluated at the control's current theta.
+    Yields (lo, hi, t, x, u, cols, block, *rows) for the chunks [lo, hi)
+    of nodes 0..n_steps-1, as node-major rows (row j*B + b is path b at
+    node lo + j): x holds the stored X_i, (u, cols, block) is
+    `control.node_chunk` at the current theta, and `rows` has one entry per
+    node-aligned (B, >= n_steps, ...) array in `stored`. Callbacks take a
+    chunk at t = t_lo, so a chunk is one node unless the problem is
+    `time_homogeneous` and the control `affine`; then its block has up to
+    _CHUNK_BLOCK entries.
     """
-    grid, states, _, _, _ = _batch_view(traj_batch)
-    for i, t in enumerate(grid.nodes[:-1].tolist()):
-        x = states[:, i]
-        u = control.evaluate(x, t)
-        yield (i, t, x, u) + control.param_block(x, t)
+    grid, states, _, _, _ = _batch_view(traj)
+    n, batch = grid.n_steps, states.shape[0]
+    times = grid.nodes.tolist()
+    size = 1
+    if problem.time_homogeneous and control.affine:
+        row = control.node_chunk(states[:1, 0], times[:1])[2].size
+        size = max(1, _CHUNK_BLOCK // (batch * row))
+    for lo in range(0, n, size):
+        hi = min(lo + size, n)
+        rows = [arr[:, lo:hi].swapaxes(0, 1).reshape((-1,) + arr.shape[2:])
+                for arr in (states,) + stored]
+        yield (lo, hi, times[lo], rows[0],
+               *control.node_chunk(rows[0], times[lo:hi]), *rows[1:])
+
+
+def _per_node(rows, lo, hi):
+    """Chunk rows (c*B, ...) as (c, B, ...)."""
+    return rows.reshape((hi - lo, -1) + rows.shape[1:])
+
+
+def _add_per_path(grad, lo, hi, cols, rows):
+    """Add a chunk's per-path rows (c*B, w) into the parameter-major
+    (P, B) buffer `grad`, node j's at its columns cols[j]."""
+    for col, g in zip(cols, _per_node(rows, lo, hi)):
+        grad[col] += g.T
 
 
 def _lean_hamiltonian(problem, x, u, t, a):
@@ -494,19 +527,17 @@ def theta_gradient_via_adjoint(problem, control, traj, adjoint):
     """
     grid, states, controls, increments, single = _batch_view(traj)
     values = _aligned(adjoint, traj, "adjoint")
-    bundle = problem.derivatives
-    dt, nodes = grid.dt, grid.nodes
-    grad = np.zeros((states.shape[0], control.n_params))
-    for i in range(grid.n_steps):
-        x, u, t = states[:, i], controls[:, i], float(nodes[i])
-        a_next = values[:, i + 1]
-        cols, block = control.param_block(x, t)
+    dsigma_du, dt = problem.derivatives.dsigma_du, grid.dt
+    grad = np.zeros((control.n_params, states.shape[0]))
+    for lo, hi, t, x, _, cols, block, u, a_next, db in _walk(
+            problem, control, traj, controls, values[:, 1:], increments):
         v = dt * _lean_u_gradient(problem, x, u, t, a_next)
-        if bundle.dsigma_du is not None:
-            v = v + np.einsum("bjic,bi,bj->bc", bundle.dsigma_du(x, u, t),
-                              a_next, increments[:, i])
-        grad[:, cols] += np.einsum("bcp,bc->bp", block, v)
-    return grad[0] if single else grad
+        if dsigma_du is not None:
+            v = v + np.einsum("bjic,bi,bj->bc", dsigma_du(x, u, t), a_next,
+                              db)
+        _add_per_path(grad, lo, hi, cols,
+                      np.einsum("bcp,bc->bp", block, v))
+    return grad[:, 0] if single else grad.T.copy()
 
 
 def write_adjoints_csv(adjoints, path):

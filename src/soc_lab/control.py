@@ -2,9 +2,11 @@
 
 A ControlModel maps (state batch, time) -> control batch through a flat
 parameter vector theta, and exposes the two Jacobians everything else
-needs: d u / d theta (B, k, P) and d u / d x (B, k, d). `param_block`
-gives d u / d theta as (column slice, block): every column outside the
-slice is zero at that time, so callers contract the block alone. Families:
+needs: d u / d theta (B, k, P) and d u / d x (B, k, d). `node_chunk`
+gives u and d u / d theta on a chunk of grid nodes, the latter as a
+column slice per node and a block: every column outside a node's slice
+is zero there, so the frozen-batch walks contract the block alone.
+Families:
 
   * linear_feedback  — piecewise-constant gains: u = K_j x + c_j on the
     j-th of n uniform intervals of [0, horizon].
@@ -59,8 +61,9 @@ class ControlModel:
     A family names its JSON tag (`family`) and its one structural keyword
     (`_knob`, also an attribute), and supplies `_n_params` and u, du/dtheta
     and du/dx (`_u`, `_du_dtheta`, `_du_dx`) at a checked (x, t).
-    `_du_dtheta` returns (cols, block) as `param_block` documents.
-    `x_hessian_is_zero` says d2u/dx2 vanishes identically.
+    `_du_dtheta` takes a list of node times and returns (cols, block) as
+    `node_chunk` documents. `x_hessian_is_zero` says d2u/dx2 vanishes
+    identically.
     """
 
     affine = x_hessian_is_zero = False
@@ -95,34 +98,52 @@ class ControlModel:
 
     def _point(self, x, t):
         """(x as a float (B, d) batch, t as a float in [0, horizon])."""
+        return self._states(x), self._time(t)
+
+    def _states(self, x):
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if x.ndim != 2 or x.shape[1] != self.d:
             raise ValidationError(f"state batch has shape {x.shape}, "
                                   f"control expects (B, {self.d})")
+        return x
+
+    def _time(self, t):
         t = float(t)
         slack = 1e-9 * max(1.0, self.horizon)
         if not -slack <= t <= self.horizon + slack:
             raise ValidationError(
                 f"time {t} outside control horizon [0, {self.horizon}]")
-        return x, t
+        return t
 
     def evaluate(self, x, t):
         """u(x, t) for a state batch x (B, d) at scalar time t."""
         return self._u(*self._point(x, t))
 
-    def param_block(self, x, t):
-        """du/dtheta at (x, t) as (cols, block (B, k, width of cols)).
+    def node_chunk(self, x, times):
+        """u and du/dtheta on a chunk of grid nodes, as (u, cols, block).
 
-        Columns of theta outside the slice `cols` have du/dtheta == 0
-        there, so `grad[..., cols] += ...` on the block equals the dense
-        contraction.
+        x (c*B, d) holds B states at each of the c `times`, node-major:
+        rows j*B to (j+1)*B - 1 are at times[j]. u is (c*B, k) and block
+        (c*B, k, w); cols[j] is node j's column slice of theta, outside
+        which du/dtheta == 0 there, so `grad[..., cols[j]] += ...` on the
+        block equals the dense contraction. Only `affine` families take
+        more than one node.
         """
-        return self._du_dtheta(*self._point(x, t))
+        x, times = self._states(x), [self._time(t) for t in times]
+        if (not times or x.shape[0] % len(times)
+                or len(times) > 1 and not self.affine):
+            raise ValidationError(
+                f"{self.family} cannot split {x.shape[0]} state rows into "
+                f"{len(times)} nodes")
+        return (self._chunk_u(x, times),) + self._du_dtheta(x, times)
+
+    def _chunk_u(self, x, times):
+        return self._u(x, times[0])
 
     def jacobians(self, x, t):
         """(du_dtheta (B,k,P), du_dx (B,k,d)) at (x, t)."""
         x, t = self._point(x, t)
-        cols, block = self._du_dtheta(x, t)
+        (cols,), block = self._du_dtheta(x, [t])
         du_dtheta = np.zeros((x.shape[0], self.k, self.n_params))
         du_dtheta[..., cols] = block
         return du_dtheta, self._du_dx(x, t)
@@ -156,6 +177,14 @@ class _Affine(ControlModel):
         gain, offset = self._affine(t)
         return x @ gain.T + offset
 
+    def _chunk_u(self, x, times):
+        """K(t_j) and c(t_j) stacked per node."""
+        gains, offsets = zip(*map(self._affine, times))
+        u = (x.reshape(len(times), -1, self.d)
+             @ np.swapaxes(np.stack(gains), 1, 2)
+             + np.stack(offsets)[:, None])
+        return u.reshape(-1, self.k)
+
     def _du_dx(self, x, t):
         return np.broadcast_to(self._affine(t)[0], (x.shape[0], self.k,
                                                     self.d))
@@ -186,15 +215,16 @@ class _LinearFeedback(_Affine):
         return (self.theta[base:base + k * d].reshape(k, d),
                 self.theta[base + k * d:base + k * d + k])
 
-    def _du_dtheta(self, x, t):
-        """Only the active interval's k*d + k columns."""
+    def _du_dtheta(self, x, times):
+        """Only the active interval's k*d + k columns; the block is the
+        same in every interval."""
         d, k = self.d, self.k
         block = np.zeros((x.shape[0], k, k * d + k))
         for c in range(k):
             block[:, c, c * d:(c + 1) * d] = x
             block[:, c, k * d + c] = 1.0
-        base = self._base(t)
-        return slice(base, base + k * d + k), block
+        return [slice(base, base + k * d + k)
+                for base in map(self._base, times)], block
 
 
 class _FeatureLinear(_Affine):
@@ -230,17 +260,19 @@ class _FeatureLinear(_Affine):
                 col += 1
         return gain, offset
 
-    def _du_dtheta(self, x, t):
+    def _du_dtheta(self, x, times):
+        per_node = x.shape[0] // len(times)
         blocks = []
         for uses_x, time_fn in self._parsed:
-            tv = time_fn(t, self.horizon)
-            blocks.append(x * tv if uses_x else np.full((x.shape[0], 1), tv))
+            tv = np.repeat([time_fn(t, self.horizon) for t in times],
+                           per_node)[:, None]
+            blocks.append(x * tv if uses_x else tv)
         phi = np.concatenate(blocks, axis=1)
         n_feat = phi.shape[1]
         du_dtheta = np.zeros((x.shape[0], self.k, self.k * n_feat))
         for c in range(self.k):
             du_dtheta[:, c, c * n_feat:(c + 1) * n_feat] = phi
-        return slice(None), du_dtheta
+        return [slice(None)] * len(times), du_dtheta
 
 
 class _OneHiddenLayer(ControlModel):
@@ -271,9 +303,9 @@ class _OneHiddenLayer(ControlModel):
     def _u(self, x, t):
         return self._hidden(x, t)[1] @ self._w2.T + self._b2
 
-    def _du_dtheta(self, x, t):
+    def _du_dtheta(self, x, times):
         batch, d, k, width = x.shape[0], self.d, self.k, self.width
-        z, hidden = self._hidden(x, t)
+        z, hidden = self._hidden(x, *times)  # one node
         gate = 1.0 - hidden * hidden  # (B, width)
         dw1 = np.einsum("cj,bj,bl->bcjl", self._w2, gate, z).reshape(
             batch, k, width * (d + 2))
@@ -283,7 +315,7 @@ class _OneHiddenLayer(ControlModel):
             dw2[:, c, c, :] = hidden
         dw2 = dw2.reshape(batch, k, k * width)
         db2 = np.broadcast_to(np.eye(k), (batch, k, k))
-        return slice(None), np.concatenate([dw1, db1, dw2, db2], axis=2)
+        return [slice(None)], np.concatenate([dw1, db1, dw2, db2], axis=2)
 
     def _du_dx(self, x, t):
         hidden = self._hidden(x, t)[1]

@@ -11,8 +11,9 @@ Pointwise Hamiltonians (diagnostics, closed-form optima, PDE residuals):
 Surrogate losses evaluate a frozen batch (trajectories + adjoints) at the
 *current* parameters of a control: only the re-evaluated u_theta(X_i, t_i)
 carries parameter dependence; states, noise, and adjoints stay fixed.
-The losses, the per-path lean-AM gradients and the MSA step share one
-walk over the frozen batch (`adjoint._frozen_steps`), one alignment check
+The losses, the per-path lean-AM gradients, the theta-gradient and the
+MSA step share one walker over the frozen batch (`adjoint._walk`), which
+hands every callback a chunk of grid nodes at once, one alignment check
 of the stored values (`adjoint._aligned`), and one copy each of the lean
 Hamiltonian f + <b, a> and its u-gradient. Each loss returns a LossReport
 whose loss_value is exactly dt * sum(per_time_terms) (per_time_terms[i] =
@@ -31,8 +32,8 @@ import math
 import numpy as np
 
 from . import _io
-from .adjoint import (SECOND_ORDER, _aligned, _frozen_steps,
-                      _lean_hamiltonian, _lean_u_gradient)
+from .adjoint import (SECOND_ORDER, _add_per_path, _aligned,
+                      _lean_hamiltonian, _lean_u_gradient, _per_node, _walk)
 from .errors import UnsupportedProblemError, ValidationError
 from .simulate import _positive_count, draw_batch_inputs, simulate_costs
 
@@ -112,21 +113,27 @@ class LossReport:
         return float(np.linalg.norm(self.grad_theta))
 
 
-def _walk_loss(kind, control, traj_batch, adjoints, step):
-    """LossReport of a per-step integrand on the frozen-batch walk.
+def _walk_loss(kind, problem, control, traj_batch, adjoints, step,
+               *stored):
+    """LossReport of a per-node integrand on the frozen-batch walk.
 
-    step(i, t, x, u, a_i) returns the per-path integrand at node i and its
-    derivative in u; the walk chains the latter through du/dtheta's
-    nonzero block.
+    step(t, x, u, a_i, *rows) returns, on a chunk's rows, the per-path
+    integrand and its derivative in u; `stored` are further node-aligned
+    arrays for `step`, as `adjoint._walk` takes them. The walk chains the
+    derivative through du/dtheta's nonzero block.
     """
     avals = _aligned(adjoints, traj_batch, "adjoints")
     dt = traj_batch.grid.dt
     per_time = np.empty(traj_batch.grid.n_steps)
     grad = np.zeros(control.n_params)
-    for i, t, x, u, cols, block in _frozen_steps(control, traj_batch):
-        value, v = step(i, t, x, u, avals[:, i])
-        per_time[i] = value.mean()
-        grad[cols] += dt * np.einsum("bcp,bc->bp", block, v).mean(axis=0)
+    for lo, hi, t, x, u, cols, block, a, *rows in _walk(
+            problem, control, traj_batch, avals, *stored):
+        value, v = step(t, x, u, a, *rows)
+        per_time[lo:hi] = _per_node(value, lo, hi).mean(axis=1)
+        sums = np.einsum("nbcp,nbc->np", _per_node(block, lo, hi),
+                         _per_node(v, lo, hi))
+        for col, g in zip(cols, sums / avals.shape[0]):
+            grad[col] += dt * g
     return LossReport(kind=kind, loss_value=float(dt * per_time.sum()),
                       grad_theta=grad, per_time_terms=per_time,
                       n_paths=avals.shape[0])
@@ -139,11 +146,12 @@ def lean_am_loss(problem, control, traj_batch, lean_adjoints):
     with u = control.evaluate(X_i, t_i); gradient
     dt * sum_i mean_b [ du_dtheta' (d2_cost + d2_drift' a_i) ].
     """
-    def step(i, t, x, u, a):
+    def step(t, x, u, a):
         return (_lean_hamiltonian(problem, x, u, t, a),
                 _lean_u_gradient(problem, x, u, t, a))
 
-    return _walk_loss("lean_am", control, traj_batch, lean_adjoints, step)
+    return _walk_loss("lean_am", problem, control, traj_batch, lean_adjoints,
+                      step)
 
 
 def bam_loss(problem, control, traj_batch, adjoints, matrix_adjoints):
@@ -156,8 +164,7 @@ def bam_loss(problem, control, traj_batch, adjoints, matrix_adjoints):
     """
     dsigma_du = problem.derivatives.dsigma_du
 
-    def step(i, t, x, u, a):
-        a_mat = mvals[:, i]
+    def step(t, x, u, a, a_mat):
         sigma = problem.diffusion(x, u, t)
         ham = (_lean_hamiltonian(problem, x, u, t, a)
                + 0.5 * np.einsum("bij,bej,bie->b", sigma, sigma, a_mat))
@@ -169,7 +176,8 @@ def bam_loss(problem, control, traj_batch, adjoints, matrix_adjoints):
 
     mvals = _aligned(matrix_adjoints, traj_batch, "matrix_adjoints",
                      (SECOND_ORDER,))
-    return _walk_loss("bam", control, traj_batch, adjoints, step)
+    return _walk_loss("bam", problem, control, traj_batch, adjoints, step,
+                      mvals)
 
 
 def per_path_lean_am_gradients(problem, control, traj_batch, lean_adjoints):
@@ -182,11 +190,13 @@ def per_path_lean_am_gradients(problem, control, traj_batch, lean_adjoints):
     """
     avals = _aligned(lean_adjoints, traj_batch, "lean_adjoints")
     dt = traj_batch.grid.dt
-    grads = np.zeros((avals.shape[0], control.n_params))
-    for i, t, x, u, cols, block in _frozen_steps(control, traj_batch):
-        v = _lean_u_gradient(problem, x, u, t, avals[:, i])
-        grads[:, cols] += dt * np.einsum("bcp,bc->bp", block, v)
-    return grads
+    grads = np.zeros((control.n_params, avals.shape[0]))
+    for lo, hi, t, x, u, cols, block, a in _walk(problem, control,
+                                                 traj_batch, avals):
+        v = _lean_u_gradient(problem, x, u, t, a)
+        _add_per_path(grads, lo, hi, cols,
+                      dt * np.einsum("bcp,bc->bp", block, v))
+    return grads.T.copy()
 
 
 def quadratic_am_loss(problem, control, traj_batch, lean_adjoints):
@@ -204,12 +214,12 @@ def quadratic_am_loss(problem, control, traj_batch, lean_adjoints):
             f"control_affine_quadratic problem with k == m, "
             f"got k={problem.k}, m={problem.m}")
 
-    def step(i, t, x, u, a):
+    def step(t, x, u, a):
         resid = u + np.einsum("bic,bi->bc", problem.diffusion(x, u, t), a)
         return 0.5 * np.einsum("bk,bk->b", resid, resid), resid
 
-    return _walk_loss("quadratic_am", control, traj_batch, lean_adjoints,
-                      step)
+    return _walk_loss("quadratic_am", problem, control, traj_batch,
+                      lean_adjoints, step)
 
 
 def sample_pathwise_costs(problem, control, grid, master_seed, n_paths,

@@ -331,16 +331,17 @@ class SmpReport:
 def smp_representation_check(problem, grid, n_paths, seed, block_size=16384):
     """Check E[adjoint | X_t] = P(t) X_t along optimally controlled paths.
 
-    Scalar LQ only. Simulates under the Riccati feedback, solves the lean
-    adjoint blockwise, and at 5 interior nodes regresses the adjoint on
-    the state through 21 equal-probability bin means
+    Scalar LQ only (d = k = m = 1). Simulates under the Riccati feedback,
+    solves the lean adjoint blockwise, and at 5 interior nodes regresses
+    the adjoint on the state through 21 equal-probability bin means
     (ordinary least squares on the bin points, slope standard error from
     their residuals). Each slope must sit within 3 SEs of P(t); the report
     also carries the implied noise costate q* = P(t) sigma.
     """
-    if problem.d != 1 or problem.k != 1:
+    if (problem.d, problem.k, problem.m) != (1, 1, 1):
         raise UnsupportedProblemError(
-            "smp_representation_check supports scalar problems only")
+            "smp_representation_check supports scalar problems only, "
+            "with one noise column")
     n_paths = _positive_count(n_paths, "n_paths")
     block_size = _positive_count(block_size, "block_size")
     n_times, n_bins = 5, 21
@@ -439,10 +440,11 @@ class HjbResidualReport:
 
 
 def _min_hamiltonian(problem, x_val, t, p, m_val):
-    """min_u [f + b p + 0.5 sigma^2 m] at a scalar state point.
+    """min_u [f + b p + 0.5 |sigma|^2 m] at a scalar state point, where
+    |sigma|^2 sums over every noise column of the state's one row.
 
     Control-affine-quadratic problems use the closed form
-    f0 + b0 p - 0.5 |d2_drift' p|^2 + 0.5 sigma^2 m; otherwise (k == 1
+    f0 + b0 p - 0.5 |d2_drift' p|^2 + 0.5 |sigma|^2 m; otherwise (k == 1
     only) a grid search over 501 points of u in [-5, 5].
     """
     x = np.array([[x_val]])
@@ -451,15 +453,15 @@ def _min_hamiltonian(problem, x_val, t, p, m_val):
         f0 = float(problem.running_cost(x, zero_u, t)[0])
         b0 = float(problem.drift(x, zero_u, t)[0, 0])
         bu = problem.derivatives.d2_drift(x, zero_u, t)[0, 0]  # (k,)
-        sig = float(problem.diffusion(x, zero_u, t)[0, 0, 0])
+        sig = problem.diffusion(x, zero_u, t)[0, 0]  # (m,)
         return (f0 + b0 * p - 0.5 * float(bu @ bu) * p * p
-                + 0.5 * sig * sig * m_val)
+                + 0.5 * float(sig @ sig) * m_val)
     us = np.linspace(-5.0, 5.0, 501)[:, None]
     xs = np.broadcast_to(x, (us.shape[0], 1))
-    sig = problem.diffusion(xs, us, t)[:, 0, 0]
+    sig = problem.diffusion(xs, us, t)[:, 0]  # (501, m)
     vals = (problem.running_cost(xs, us, t)
             + problem.drift(xs, us, t)[:, 0] * p
-            + 0.5 * sig * sig * m_val)
+            + 0.5 * np.einsum("uj,uj->u", sig, sig) * m_val)
     return float(vals.min())
 
 

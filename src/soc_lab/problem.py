@@ -144,6 +144,10 @@ class ProblemSpec:
         control_affine_quadratic: drift affine in u and
             running_cost(x,u,t) = base(x,t) + 0.5*|u|^2, with
             diffusion_time_only also set.
+        time_homogeneous: no callback that takes t depends on it, so
+            the frozen-batch walks may pass several grid nodes in one
+            call. The probe compares outputs at a few sampled times and
+            can miss t-dependence between them.
     """
 
     d: int
@@ -158,6 +162,7 @@ class ProblemSpec:
     derivatives: DerivativeBundle
     diffusion_time_only: bool = dataclasses.field(init=False)
     control_affine_quadratic: bool = dataclasses.field(init=False)
+    time_homogeneous: bool = dataclasses.field(init=False)
     name: str = "custom"
     lq_data: Optional[LQData] = None
     ou_params: Optional[OUParams] = None
@@ -172,6 +177,8 @@ class ProblemSpec:
         object.__setattr__(self, "diffusion_time_only", dto)
         object.__setattr__(self, "control_affine_quadratic",
                            dto and _probe_control_affine_quadratic(self, rng))
+        object.__setattr__(self, "time_homogeneous",
+                           _probe_time_homogeneous(self, rng))
 
     def sample_initial(self, seed, path_index):
         """Draw one initial state; (seed, path_index) fully determine it."""
@@ -360,6 +367,23 @@ def _probe_control_affine_quadratic(problem, rng):
     return True
 
 
+def _probe_time_homogeneous(problem, rng):
+    bundle = problem.derivatives
+    entries = {**vars(bundle), **vars(bundle.second_order or bundle)}
+    fns = [problem.drift, problem.diffusion, problem.running_cost] + [
+        fn for name, fn in entries.items() if callable(fn)
+        and name not in ("grad_terminal", "hess_terminal")]
+    for _ in range(4):
+        x = rng.standard_normal((1, problem.d))
+        u = rng.standard_normal((1, problem.k))
+        times = rng.uniform(0.0, problem.horizon, 3).tolist()
+        for fn in fns:
+            ref = np.asarray(fn(x, u, times[0]))
+            if not all(np.array_equal(ref, fn(x, u, t)) for t in times[1:]):
+                return False
+    return True
+
+
 def _validate_sampler(problem):
     a = problem.sample_initial(12345, 7)
     b = problem.sample_initial(12345, 7)
@@ -413,7 +437,7 @@ def make_lq_problem(a_mat, b_mat, sigma, q_run, q_term, horizon,
 
     Scalars are accepted for 1x1 matrices. Gaussian initial law
     N(x0_mean, x0_cov), defaulting to N(0, I). Cost matrices must be
-    symmetric PSD; the returned problem probes both capability flags True
+    symmetric PSD; the returned problem probes every capability flag True
     and carries the matrices (`lq_data`) for closed-form companions.
     """
     a = np.atleast_2d(np.asarray(a_mat, dtype=np.float64))
@@ -538,8 +562,9 @@ def make_scalar_geometric_problem(nu=0.2, horizon=1.0, x0_mean=1.0, x0_std=0.2):
     """Scalar multiplicative-noise benchmark: dX = u X dt + nu X dB,
     running cost 0.5 u^2, terminal cost (x-1)^2, X_0 ~ N(x0_mean, x0_std^2).
 
-    The state-dependent diffusion clears both capability flags, which makes
-    this the stock instance for exercising the full (noise-coupled) adjoint.
+    The state-dependent diffusion clears diffusion_time_only and
+    control_affine_quadratic (time_homogeneous holds), which makes this the
+    stock instance for exercising the full (noise-coupled) adjoint.
     """
     nu = float(_finite(nu, "nu"))
     x0_mean = float(_finite(x0_mean, "x0_mean"))

@@ -259,14 +259,19 @@ def draw_batch_inputs(problem, grid, master_seed, x0_seed, start, stop):
     Path p always gets the same draws for a given (master_seed, x0_seed),
     whatever the range bounds: the RNG is keyed by the absolute path
     index. Seeds must lie in [0, 2**64) and path indices in [0, 2**48);
-    anything else raises ValidationError. Each path's increments are drawn
-    by re-keying this thread's shared Philox generator, straight into one
-    path-major buffer of at most _CHUNK paths, then scaled into the
-    (count, n_steps, m) view of time-major storage that comes back.
-    Concurrent calls from different threads do not interfere.
+    anything else raises ValidationError before any path is drawn. Each
+    path's increments are drawn by re-keying this thread's shared Philox
+    generator, straight into one path-major buffer of at most _CHUNK
+    paths, then scaled into the (count, n_steps, m) view of time-major
+    storage that comes back. Concurrent calls from different threads do
+    not interfere.
     """
     n, m, d = grid.n_steps, problem.m, problem.d
     sqrt_dt = math.sqrt(grid.dt)
+    # Every path's key is in range when both ends of [start, stop) are:
+    # check them and both seeds once, before anything is drawn.
+    seed, first = _rng._key_words(master_seed, start, _rng.BROWNIAN)
+    _rng._key_words(x0_seed, max(start, stop - 1), _rng.INITIAL_STATE)
     count = stop - start
     increments = _time_major(n, count, m)
     x0 = np.empty((count, d))
@@ -274,8 +279,7 @@ def draw_batch_inputs(problem, grid, master_seed, x0_seed, start, stop):
     for lo in range(0, count, _CHUNK):
         hi = min(lo + _CHUNK, count)
         for j in range(lo, hi):
-            gen = _rng._rekeyed(master_seed, start + j, _rng.BROWNIAN)
-            gen.standard_normal(out=buf[j - lo])
+            _rng._rekey((seed, first + j)).standard_normal(out=buf[j - lo])
             x0[j] = problem.sample_initial(x0_seed, start + j)
         np.multiply(buf[:hi - lo], sqrt_dt, out=increments[lo:hi])
     return increments, x0

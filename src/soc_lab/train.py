@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from . import _io
-from .adjoint import (_aligned, _frozen_steps, freeze_control,
+from .adjoint import (_aligned, _per_node, _walk, freeze_control,
                       solve_first_order_adjoint, solve_lean_adjoint,
                       solve_second_order_adjoint)
 from .errors import (SimulationError, TrainingAborted,
@@ -142,11 +142,16 @@ def msa_exact_step(problem, control, traj_batch, lean_adjoints):
     dt = traj_batch.grid.dt
     normal = np.zeros((control.n_params, control.n_params))
     rhs = np.zeros(control.n_params)
-    for i, t, x, u, cols, block in _frozen_steps(control, traj_batch):
+    for lo, hi, t, x, u, cols, block, a in _walk(problem, control,
+                                                 traj_batch, avals):
         target = -np.einsum("bic,bi->bc",
-                            problem.derivatives.d2_drift(x, u, t), avals[:, i])
-        normal[cols, cols] += dt * np.einsum("bcp,bcq->pq", block, block)
-        rhs[cols] += dt * np.einsum("bcp,bc->p", block, target)
+                            problem.derivatives.d2_drift(x, u, t), a)
+        block = _per_node(block, lo, hi)
+        normals = np.einsum("nbcp,nbcq->npq", block, block)
+        rhss = np.einsum("nbcp,nbc->np", block, _per_node(target, lo, hi))
+        for col, nrm, r in zip(cols, normals, rhss):
+            normal[col, col] += dt * nrm
+            rhs[col] += dt * r
     cond = np.linalg.cond(normal)
     if not np.isfinite(cond) or cond > 1e12:
         logger.warning("normal equations ill-conditioned (cond=%.3e); "

@@ -213,7 +213,7 @@ def test_every_entry_point_checks_the_point(family):
     ctrl = _FAMILIES[family]()
     good = np.zeros((3, ctrl.d))
     for call in (ctrl.evaluate, ctrl.jacobians, ctrl.state_jacobian,
-                 ctrl.param_block):
+                 lambda x, t: ctrl.node_chunk(x, [t])):
         call(good, 1.0)
         with pytest.raises(sl.ValidationError, match="state batch"):
             call(np.zeros((3, ctrl.d + 1)), 1.0)
@@ -226,8 +226,9 @@ def test_every_entry_point_checks_the_point(family):
 @pytest.mark.parametrize("frozen", (False, True), ids=("plain", "frozen"))
 @pytest.mark.parametrize("family", list(_FAMILIES))
 def test_param_block_scatters_to_the_dense_jacobian(family, frozen):
-    """The (cols, block) du/dtheta, scattered into zeros, is `jacobians`'s
-    dense one bit for bit, at interior times and interval boundaries."""
+    """A one-node chunk's (cols, block) du/dtheta, scattered into zeros, is
+    `jacobians`'s dense one bit for bit, at interior times and interval
+    boundaries."""
     rng = np.random.default_rng(_PROBE_SEED + 4)
     ctrl = _FAMILIES[family]()
     ctrl = ctrl.with_theta(rng.standard_normal(ctrl.n_params))
@@ -235,9 +236,36 @@ def test_param_block_scatters_to_the_dense_jacobian(family, frozen):
         ctrl = sl.freeze_control(ctrl)
     x = rng.standard_normal((5, ctrl.d))
     for t in (0.0, 0.3, 2.0 / 3.0, 1.0, 1.9, 2.0):
-        cols, block = ctrl.param_block(x, t)
+        _, (cols,), block = ctrl.node_chunk(x, [t])
         dense = np.zeros((5, ctrl.k, ctrl.n_params))
         dense[..., cols] = block
         np.testing.assert_array_equal(dense, ctrl.jacobians(x, t)[0])
         if family == "linear_feedback":  # the active interval's block only
             assert block.shape == (5, ctrl.k, ctrl.k * ctrl.d + ctrl.k)
+
+
+@pytest.mark.parametrize("family", list(_FAMILIES))
+def test_node_chunk_stacks_the_per_node_calls(family):
+    """A chunk of nodes gives, row block by row block, each node's
+    `evaluate` and one-node chunk; only the affine families stack nodes."""
+    rng = np.random.default_rng(_PROBE_SEED + 5)
+    ctrl = _FAMILIES[family]()
+    ctrl = ctrl.with_theta(rng.standard_normal(ctrl.n_params))
+    times = [0.3, 2.0 / 3.0, 1.9] if ctrl.affine else [0.3]
+    x = rng.standard_normal((5 * len(times), ctrl.d))
+    u, cols, block = ctrl.node_chunk(x, times)
+    for j, t in enumerate(times):
+        rows = slice(5 * j, 5 * (j + 1))
+        np.testing.assert_array_equal(u[rows], ctrl.evaluate(x[rows], t))
+        _, (want_cols,), want_block = ctrl.node_chunk(x[rows], [t])
+        assert cols[j] == want_cols
+        np.testing.assert_array_equal(block[rows], want_block)
+    if not ctrl.affine:
+        with pytest.raises(sl.ValidationError, match="cannot split"):
+            ctrl.node_chunk(np.zeros((4, ctrl.d)), [0.3, 0.6])
+    with pytest.raises(sl.ValidationError, match="cannot split"):
+        ctrl.node_chunk(np.zeros((5, ctrl.d)), [0.3, 0.6])
+    with pytest.raises(sl.ValidationError, match="outside control"):
+        ctrl.node_chunk(np.zeros((2, ctrl.d)), [0.3, 2.5])
+    with pytest.raises(sl.ValidationError, match="state batch"):
+        ctrl.node_chunk(np.zeros((2, ctrl.d + 1)), [0.3])

@@ -248,6 +248,10 @@ def test_smp_representation_on_lq(lq_problem):
 def test_smp_rejects_nonscalar_and_nonlq(lq_2d_problem, sg_problem, grid):
     with pytest.raises(sl.UnsupportedProblemError):
         sl.smp_representation_check(lq_2d_problem, grid, 100, seed=0)
+    # q* = P(t) sigma has one entry per noise column; the report has one
+    two_columns = sl.make_lq_problem(0.3, 1.0, [[0.6, 0.8]], 0.5, 1.0, 1.0)
+    with pytest.raises(sl.UnsupportedProblemError):
+        sl.smp_representation_check(two_columns, grid, 100, seed=0)
     with pytest.raises(sl.UnsupportedProblemError):
         sl.smp_representation_check(sg_problem, grid, 100, seed=0)
 
@@ -285,6 +289,21 @@ def test_hjb_analytic_mode_near_zero_residual(lq_problem):
     assert len(report.rows) == 12
     assert all(r.noise_floor == 0.0 and r.reliable for r in report.rows)
     assert report.max_abs_residual <= 1e-6
+
+
+def test_hjb_analytic_reads_every_noise_column():
+    """Two scalar problems with the same sigma sigma' = 1, one noise column
+    or two, have the same value function and so the same residual."""
+    kw = dict(x_grid=np.linspace(-3.0, 3.0, 21),
+              t_grid=np.linspace(0.05, 0.95, 21), n_paths=0, seed=0)
+    residuals = []
+    for sigma in ([[1.0, 0.0]], [[0.6, 0.8]]):
+        problem = sl.make_lq_problem(0.3, 1.0, sigma, 0.5, 1.0, 1.0)
+        report = sl.hjb_residual_1d(problem, None,
+                                    value_fn=sl.LQValueFunction(problem), **kw)
+        assert report.max_abs_residual <= 1e-4
+        residuals.append(np.array([r.residual for r in report.rows]))
+    np.testing.assert_allclose(residuals[1], residuals[0], rtol=0, atol=1e-12)
 
 
 def test_hjb_analytic_rejects_boundary_times(lq_problem):

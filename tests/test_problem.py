@@ -267,7 +267,8 @@ def test_directly_built_spec_probes_its_flags(sg_problem):
 
 
 @pytest.mark.parametrize("flag", ["diffusion_time_only",
-                                  "control_affine_quadratic"])
+                                  "control_affine_quadratic",
+                                  "time_homogeneous"])
 def test_flags_cannot_be_declared(sg_problem, flag):
     with pytest.raises(TypeError, match=flag):
         sl.ProblemSpec(**_fields_of(sg_problem), **{flag: True})
@@ -280,6 +281,10 @@ def test_replaced_spec_probes_its_flags_again(lq_problem):
                                diffusion=lambda x, u, t: 0.8 * x[:, :, None])
     assert not copy.diffusion_time_only
     assert not copy.control_affine_quadratic
+    assert lq_problem.time_homogeneous
+    timed = dataclasses.replace(
+        lq_problem, drift=lambda x, u, t: lq_problem.drift(x, u, t) + t)
+    assert not timed.time_homogeneous
 
 
 def test_required_entry_left_none_is_refused(lq_problem):

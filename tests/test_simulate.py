@@ -1,6 +1,7 @@
 """Forward simulation: grids, noise streams, rollouts, determinism."""
 
 import csv
+import dataclasses
 import sys
 import threading
 
@@ -329,3 +330,21 @@ def test_trajectories_csv_schema(tmp_path, lq_problem, lq_control):
     row = rows[1 + grid.n_steps]
     assert float(row[2]) == pytest.approx(1.0)
     assert float(row[3]) == pytest.approx(batch.states[0, -1, 0])
+
+
+@pytest.mark.parametrize("seed, start, stop", [
+    (1 << 64, 0, 3), (-1, 0, 3), (0, (1 << 48) - 2, (1 << 48) + 1)])
+def test_draw_batch_inputs_checks_keys_before_drawing(lq_problem, grid, seed,
+                                                      start, stop):
+    """An out-of-range seed, or a range running past 2**48, is refused
+    before the first path is drawn, not at the path where it wraps."""
+    drawn = []
+
+    def sampler(x0_seed, path_index):
+        drawn.append(path_index)
+        return np.zeros(1)
+
+    problem = dataclasses.replace(lq_problem, initial_sampler=sampler)
+    with pytest.raises(sl.ValidationError):
+        sl.draw_batch_inputs(problem, grid, seed, 0, start, stop)
+    assert drawn == []
