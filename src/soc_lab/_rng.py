@@ -16,9 +16,12 @@ Two ways to reach a stream, both starting it at counter 0:
     no construction and no entropy read, and draws exactly the same
     numbers. It costs about 1.6 us per stream against 21 us to build a
     generator (2-vCPU x86 machine, numpy 2.4). The generator it returns
-    is valid only until the next `_rekeyed` call on the same thread,
-    which re-keys it again. The package's per-path hot loops use it;
-    each thread gets its own generator, so threads never share one.
+    is valid only until the next re-key on the same thread. Each thread
+    gets its own generator, so threads never share one.
+
+The package's per-path hot loops check a range of paths' keys once
+(`_range_keys`) and then fill one row per path (`_fill_normals`), which
+re-keys through `_rekey` without checking each key again.
 """
 
 import operator
@@ -97,3 +100,19 @@ def _rekey(key):
     state["state"]["key"] = key
     bits.state = state
     return gen
+
+
+def _range_keys(seed, start, stop, stream):
+    """(seed, key word of path `start`) for paths [start, stop) of one
+    stream. Every path's key is in range when both ends are, so both are
+    checked here and the words of path start + j are (seed, first + j)."""
+    seed, first = _key_words(seed, start, stream)
+    _key_words(seed, max(start, stop - 1), stream)
+    return seed, first
+
+
+def _fill_normals(out, seed, first):
+    """Row j of `out` <- standard normals of the stream keyed
+    (seed, first + j); the key words must come from `_range_keys`."""
+    for j in range(out.shape[0]):
+        _rekey((seed, first + j)).standard_normal(out=out[j])

@@ -222,13 +222,14 @@ def _backward(solver, traj, anchor, step, wrap):
     return out[0] if single else out
 
 
-def _walk(problem, control, traj, *stored):
+def _walk(problem, control, traj, *stored, with_u=True):
     """Walk a frozen batch in chunks of grid nodes.
 
     Yields (lo, hi, t, x, u, cols, block, *rows) for the chunks [lo, hi)
     of nodes 0..n_steps-1, as node-major rows (row j*B + b is path b at
     node lo + j): x holds the stored X_i, (u, cols, block) is
-    `control.node_chunk` at the current theta, and `rows` has one entry per
+    `control.node_chunk` at the current theta (u is None, and not
+    evaluated, with with_u=False), and `rows` has one entry per
     node-aligned (B, >= n_steps, ...) array in `stored`. Callbacks take a
     chunk at t = t_lo, so a chunk is one node unless the problem is
     `time_homogeneous` and the control `affine`; then its block has up to
@@ -237,16 +238,23 @@ def _walk(problem, control, traj, *stored):
     grid, states, _, _, _ = _batch_view(traj)
     n, batch = grid.n_steps, states.shape[0]
     times = grid.nodes.tolist()
+
+    def chunk(x, lo, hi):
+        if with_u:
+            return control.node_chunk(x, times[lo:hi])
+        return (None,) + control._du_dtheta(
+            *control._chunk_point(x, times[lo:hi]))
+
     size = 1
     if problem.time_homogeneous and control.affine:
-        row = control.node_chunk(states[:1, 0], times[:1])[2].size
+        row = chunk(states[:1, 0], 0, 1)[2].size
         size = max(1, _CHUNK_BLOCK // (batch * row))
     for lo in range(0, n, size):
         hi = min(lo + size, n)
         rows = [arr[:, lo:hi].swapaxes(0, 1).reshape((-1,) + arr.shape[2:])
                 for arr in (states,) + stored]
-        yield (lo, hi, times[lo], rows[0],
-               *control.node_chunk(rows[0], times[lo:hi]), *rows[1:])
+        yield (lo, hi, times[lo], rows[0], *chunk(rows[0], lo, hi),
+               *rows[1:])
 
 
 def _per_node(rows, lo, hi):
@@ -530,7 +538,8 @@ def theta_gradient_via_adjoint(problem, control, traj, adjoint):
     dsigma_du, dt = problem.derivatives.dsigma_du, grid.dt
     grad = np.zeros((control.n_params, states.shape[0]))
     for lo, hi, t, x, _, cols, block, u, a_next, db in _walk(
-            problem, control, traj, controls, values[:, 1:], increments):
+            problem, control, traj, controls, values[:, 1:], increments,
+            with_u=False):
         v = dt * _lean_u_gradient(problem, x, u, t, a_next)
         if dsigma_du is not None:
             v = v + np.einsum("bjic,bi,bj->bc", dsigma_du(x, u, t), a_next,

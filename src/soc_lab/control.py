@@ -30,7 +30,7 @@ import re
 import numpy as np
 
 from .errors import ConfigError, ValidationError
-from .simulate import _positive_count, _positive_horizon
+from .simulate import _dot, _positive_count, _positive_horizon
 
 _EXP_RE = re.compile(r"^exp\(-([0-9]+(?:\.[0-9]*)?)\*tau\)$")
 _TIME_FNS = {"1": lambda t, horizon: 1.0,
@@ -129,13 +129,18 @@ class ControlModel:
         block equals the dense contraction. Only `affine` families take
         more than one node.
         """
+        x, times = self._chunk_point(x, times)
+        return (self._chunk_u(x, times),) + self._du_dtheta(x, times)
+
+    def _chunk_point(self, x, times):
+        """(x, times) checked as `node_chunk` takes them."""
         x, times = self._states(x), [self._time(t) for t in times]
         if (not times or x.shape[0] % len(times)
                 or len(times) > 1 and not self.affine):
             raise ValidationError(
                 f"{self.family} cannot split {x.shape[0]} state rows into "
                 f"{len(times)} nodes")
-        return (self._chunk_u(x, times),) + self._du_dtheta(x, times)
+        return x, times
 
     def _chunk_u(self, x, times):
         return self._u(x, times[0])
@@ -175,13 +180,13 @@ class _Affine(ControlModel):
 
     def _u(self, x, t):
         gain, offset = self._affine(t)
-        return x @ gain.T + offset
+        return _dot(x, gain.T) + offset
 
     def _chunk_u(self, x, times):
         """K(t_j) and c(t_j) stacked per node."""
         gains, offsets = zip(*map(self._affine, times))
-        u = (x.reshape(len(times), -1, self.d)
-             @ np.swapaxes(np.stack(gains), 1, 2)
+        u = (_dot(x.reshape(len(times), -1, self.d),
+                  np.swapaxes(np.stack(gains), 1, 2))
              + np.stack(offsets)[:, None])
         return u.reshape(-1, self.k)
 

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import _rng
 from .errors import ValidationError
-from .simulate import _positive_count, _positive_horizon
+from .simulate import _dot, _positive_count, _positive_horizon
 
 
 @dataclasses.dataclass(frozen=True)
@@ -148,6 +148,13 @@ class ProblemSpec:
             the frozen-batch walks may pass several grid nodes in one
             call. The probe compares outputs at a few sampled times and
             can miss t-dependence between them.
+
+    `sample_initial(seed, p)` draws path p's initial state through the
+    per-path `initial_sampler`; `sample_initial_batch(seed, start, stop)`
+    draws paths [start, stop) into one (stop - start, d) array with the
+    same bits per row. The built-in problems' Gaussian sampler draws the
+    range in one call; any other sampler, including one swapped in with
+    `dataclasses.replace`, is called path by path.
     """
 
     d: int
@@ -188,6 +195,41 @@ class ProblemSpec:
                 f"initial_sampler returned shape {x0.shape}, expected ({self.d},)"
             )
         return x0
+
+    def sample_initial_batch(self, seed, start, stop):
+        """Initial states of paths [start, stop) as (stop - start, d); row
+        j is `sample_initial(seed, start + j)`. Seed and path indices are
+        checked once, before anything is drawn."""
+        seed, first = _rng._range_keys(seed, start, stop, _rng.INITIAL_STATE)
+        count = stop - start
+        if isinstance(self.initial_sampler, _GaussianSampler):
+            return self.initial_sampler.draw_range(seed, first, count)
+        x0 = np.empty((count, self.d))
+        for j in range(count):
+            x0[j] = self.sample_initial(seed, start + j)
+        return x0
+
+
+class _GaussianSampler:
+    """x0 = mean + chol z, z ~ N(0, I) from the path's INITIAL_STATE
+    stream: the built-in problems' `initial_sampler`."""
+
+    def __init__(self, mean, chol):
+        self.mean, self.chol = mean, chol
+
+    def __call__(self, seed, path_index):
+        gen = _rng._rekeyed(seed, path_index, _rng.INITIAL_STATE)
+        return self.mean + self.chol @ gen.standard_normal(self.mean.size)
+
+    def draw_range(self, seed, first, count):
+        """`count` paths from the key words `_rng._range_keys` gave. The
+        stacked matmul repeats `__call__`'s per-path product bit for bit
+        (z @ chol.T would not); at d = 1 it is one product per path."""
+        z = np.empty((count, self.mean.size))
+        _rng._fill_normals(z, seed, first)
+        if self.mean.size == 1:
+            return self.mean + _dot(z, self.chol)
+        return self.mean + np.matmul(self.chol, z[..., None])[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -469,28 +511,27 @@ def make_lq_problem(a_mat, b_mat, sigma, q_run, q_term, horizon,
     eye_k = np.eye(k)
 
     def drift(x, u, t):
-        return x @ a.T + u @ b.T
+        return _dot(x, a.T) + _dot(u, b.T)
 
     def diffusion(x, u, t):
         return np.broadcast_to(s, (x.shape[0], d, m))
 
     def running_cost(x, u, t):
-        return (0.5 * np.einsum("bi,ij,bj->b", x, qr, x)
-                + 0.5 * np.einsum("bk,bk->b", u, u))
+        # at d = 1 the einsum's one term is (x qr) x, and the u term is
+        # never -0.0, so the product form gives the same bits
+        state = (x * qr * x)[:, 0] if d == 1 else np.einsum(
+            "bi,ij,bj->b", x, qr, x)
+        return 0.5 * state + 0.5 * np.einsum("bk,bk->b", u, u)
 
     def terminal_cost(x):
         return 0.5 * np.einsum("bi,ij,bj->b", x, qt, x)
 
-    def initial_sampler(seed, path_index):
-        gen = _rng._rekeyed(seed, path_index, _rng.INITIAL_STATE)
-        return mean + chol @ gen.standard_normal(d)
-
     bundle = DerivativeBundle(
         d1_drift=lambda x, u, t: np.broadcast_to(a, (x.shape[0], d, d)),
         d2_drift=lambda x, u, t: np.broadcast_to(b, (x.shape[0], d, k)),
-        d1_cost=lambda x, u, t: x @ qr,
+        d1_cost=lambda x, u, t: _dot(x, qr),
         d2_cost=lambda x, u, t: np.asarray(u, dtype=np.float64),
-        grad_terminal=lambda x: x @ qt,
+        grad_terminal=lambda x: _dot(x, qt),
         hess_terminal=lambda x: np.broadcast_to(qt, (x.shape[0], d, d)),
         second_order=SecondOrderBundle(
             cost_hess_xx=lambda x, u, t: np.broadcast_to(qr, (x.shape[0], d, d)),
@@ -502,7 +543,7 @@ def make_lq_problem(a_mat, b_mat, sigma, q_run, q_term, horizon,
         d=d, k=k, m=m, horizon=horizon,
         drift=drift, diffusion=diffusion,
         running_cost=running_cost, terminal_cost=terminal_cost,
-        initial_sampler=initial_sampler, derivatives=bundle,
+        initial_sampler=_GaussianSampler(mean, chol), derivatives=bundle,
         name="lq",
         lq_data=LQData(a, b, s, qr, qt, mean.copy(), cov),
     )
@@ -582,10 +623,6 @@ def make_scalar_geometric_problem(nu=0.2, horizon=1.0, x0_mean=1.0, x0_std=0.2):
     def terminal_cost(x):
         return np.einsum("bi,bi->b", x - 1.0, x - 1.0)
 
-    def initial_sampler(seed, path_index):
-        gen = _rng._rekeyed(seed, path_index, _rng.INITIAL_STATE)
-        return np.array([x0_mean + x0_std * gen.standard_normal()])
-
     def ones3(x):
         return np.ones((x.shape[0], 1, 1))
 
@@ -605,6 +642,7 @@ def make_scalar_geometric_problem(nu=0.2, horizon=1.0, x0_mean=1.0, x0_std=0.2):
     return make_controlled_diffusion_problem(
         d=1, k=1, m=1, horizon=horizon, drift=drift, diffusion=diffusion,
         running_cost=running_cost, terminal_cost=terminal_cost,
-        initial_sampler=initial_sampler, derivatives=bundle,
-        name="scalar_geometric",
+        initial_sampler=_GaussianSampler(np.array([x0_mean]),
+                                         np.array([[x0_std]])),
+        derivatives=bundle, name="scalar_geometric",
     )

@@ -269,3 +269,28 @@ def test_node_chunk_stacks_the_per_node_calls(family):
         ctrl.node_chunk(np.zeros((2, ctrl.d)), [0.3, 2.5])
     with pytest.raises(sl.ValidationError, match="state batch"):
         ctrl.node_chunk(np.zeros((2, ctrl.d + 1)), [0.3])
+
+
+@pytest.mark.parametrize("d, k", [(1, 1), (2, 1), (2, 2)])
+@pytest.mark.parametrize("family", ["linear_feedback", "feature_linear"])
+def test_affine_u_matches_its_matmul_form(family, d, k):
+    """u = K(t) x + c(t) skips matmul when d = 1; the bits are matmul's,
+    for `evaluate` and for every node of a stacked chunk."""
+    rng = np.random.default_rng(_PROBE_SEED + 6)
+    if family == "linear_feedback":
+        ctrl = sl.make_linear_feedback_control(d, k, 4, 2.0)
+    else:
+        ctrl = sl.make_feature_linear_control(
+            d, k, ["x*exp(-2*tau)", "x", "1"], 2.0)
+    ctrl = ctrl.with_theta(rng.standard_normal(ctrl.n_params))
+    times = [0.3, 0.9, 1.9]
+    x = rng.standard_normal((3 * 50, d))
+    x[:3] = np.array([0.0, -0.0, -1e-300])[:, None]  # signed zeros
+    u, _, _ = ctrl.node_chunk(x, times)
+    for j, t in enumerate(times):
+        rows = x[50 * j:50 * (j + 1)]
+        gain, offset = ctrl._affine(t)
+        want = rows @ gain.T + offset
+        for got in (ctrl.evaluate(rows, t), u[50 * j:50 * (j + 1)]):
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))

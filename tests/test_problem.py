@@ -156,6 +156,58 @@ def test_initial_sampler_keyed_by_seed_and_path(lq_problem):
     assert not np.array_equal(a, d)
 
 
+def _correlated_lq():
+    """d = k = m = 2 LQ with a non-diagonal initial covariance."""
+    return sl.make_lq_problem(
+        np.array([[0.0, 1.0], [-0.5, -0.2]]), np.eye(2), np.eye(2),
+        np.eye(2), np.eye(2), 1.0, x0_mean=[0.2, -0.1],
+        x0_cov=[[1.0, 0.3], [0.3, 0.5]])
+
+
+@pytest.mark.parametrize("name", ["lq_problem", "lq_2d_problem", "ou_problem",
+                                  "sg_problem", "correlated"])
+def test_batched_initial_draw_matches_per_path(name, request):
+    """sample_initial_batch gives sample_initial's bits in every row."""
+    problem = (_correlated_lq() if name == "correlated"
+               else request.getfixturevalue(name))
+    got = problem.sample_initial_batch(8, 1000, 1300)
+    want = np.stack([problem.sample_initial(8, p) for p in range(1000, 1300)])
+    assert got.shape == (300, problem.d)
+    np.testing.assert_array_equal(got, want)
+    assert problem.sample_initial_batch(8, 5, 5).shape == (0, problem.d)
+
+
+def test_batched_initial_draw_checks_its_keys(lq_problem):
+    with pytest.raises(sl.ValidationError):
+        lq_problem.sample_initial_batch(-1, 0, 3)
+    with pytest.raises(sl.ValidationError):
+        lq_problem.sample_initial_batch(0, (1 << 48) - 2, (1 << 48) + 1)
+
+
+@pytest.mark.parametrize("name", ["lq_problem", "ou_problem", "lq_2d_problem"])
+def test_lq_callbacks_match_their_matmul_forms(name, request):
+    """The built-in LQ callbacks skip matmul when its inner dimension is 1
+    (d = k = 1 here, k = 1 on lq_2d); the bits are matmul's."""
+    problem = request.getfixturevalue(name)
+    lq = problem.lq_data
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((500, problem.d))
+    u = rng.standard_normal((500, problem.k))
+    x[:3] = np.array([0.0, -0.0, -1e-300])[:, None]  # signed zeros
+    bundle = problem.derivatives
+    for got, want in [
+            (problem.drift(x, u, 0.2), x @ lq.a_mat.T + u @ lq.b_mat.T),
+            (bundle.d1_cost(x, u, 0.2), x @ lq.q_run),
+            (bundle.grad_terminal(x), x @ lq.q_term),
+            (problem.running_cost(x, u, 0.2),
+             0.5 * np.einsum("bi,ij,bj->b", x, lq.q_run, x)
+             + 0.5 * np.einsum("bk,bk->b", u, u)),
+            (problem.terminal_cost(x),
+             0.5 * np.einsum("bi,ij,bj->b", x, lq.q_term, x))]:
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
 def test_scalar_geometric_coefficients(sg_problem):
     x = np.array([[1.5]])
     u = np.array([[-0.4]])

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import soc_lab as sl
-from soc_lab import cli
+from soc_lab import cli, simulate
 
 from conftest import make_mild_feedback
 
@@ -165,7 +165,7 @@ def test_batch_arrays_are_time_major_views(lq_2d_problem, grid):
 
 
 def test_draw_batch_inputs_is_range_invariant(lq_problem, grid):
-    """Ranges that straddle the draw buffer's 1024-path chunks agree."""
+    """Ranges that straddle the draw buffer's _CHUNK-path tiles agree."""
     full_inc, full_x0 = sl.draw_batch_inputs(lq_problem, grid, 7, 8, 0, 2100)
     inc, x0 = sl.draw_batch_inputs(lq_problem, grid, 7, 8, 1000, 2100)
     assert inc.shape == (1100, grid.n_steps, lq_problem.m)
@@ -178,34 +178,53 @@ def _fresh_normals(seed, path_index, stream, size):
     return np.random.Generator(np.random.Philox(key=key)).standard_normal(size)
 
 
-def _expected_inputs(grid, seed, x0_seed, paths, x0_mean, x0_std):
-    """Increments and x0 of a scalar problem, from freshly built generators."""
-    inc = np.stack([_fresh_normals(seed, p, 0, (grid.n_steps, 1))
+def _expected_inputs(grid, seed, x0_seed, paths, x0_mean, x0_std, m=1, d=1):
+    """Increments and x0 ~ N(x0_mean, x0_std**2 I_d) of a problem with m
+    noise columns, from freshly built generators."""
+    inc = np.stack([_fresh_normals(seed, p, 0, (grid.n_steps, m))
                     for p in paths]) * np.sqrt(grid.dt)
-    x0 = np.array([[x0_mean + x0_std * _fresh_normals(x0_seed, p, 1, None)]
+    x0 = np.stack([x0_mean + x0_std * _fresh_normals(x0_seed, p, 1, d)
                    for p in paths])
     return inc, x0
 
 
-@pytest.mark.parametrize("seed, start", [(3, 0), ((1 << 64) - 1, 0),
-                                         (3, (1 << 48) - 3),
-                                         ((1 << 64) - 1, (1 << 48) - 3)])
-def test_draws_match_freshly_built_generators(sg_problem, grid, seed, start):
+# (x0 mean, x0 std) of each problem's N(mean, std**2 I) initial law
+_X0_LAW = {"sg_problem": (1.0, 0.2), "lq_2d_problem": (0.0, 1.0),
+           "ou_problem": (0.0, 1.0)}
+_TILES = 2 * simulate._CHUNK + 19
+
+
+@pytest.mark.parametrize("name, seed, start, count", [
+    pytest.param("sg_problem", 3, 0, 3, id="3-0"),
+    pytest.param("sg_problem", (1 << 64) - 1, 0, 3,
+                 id="18446744073709551615-0"),
+    pytest.param("sg_problem", 3, (1 << 48) - 3, 3, id="3-281474976710653"),
+    pytest.param("sg_problem", (1 << 64) - 1, (1 << 48) - 3, 3,
+                 id="18446744073709551615-281474976710653"),
+    pytest.param("lq_2d_problem", 5, 37, _TILES, id="lq_2d-tiles"),
+    pytest.param("ou_problem", (1 << 64) - 1, (1 << 48) - _TILES - 1,
+                 _TILES, id="ou-tiles"),
+])
+def test_draws_match_freshly_built_generators(name, seed, start, count,
+                                              grid, request):
     """The re-keyed generator draws what a new Philox of the same key does,
-    even after it was left mid-block or holding a cached 32-bit half."""
+    even after it was left mid-block or holding a cached 32-bit half, and
+    over ranges that start past path 0 and span several draw-buffer
+    tiles."""
     from soc_lab import _rng
-    want = _expected_inputs(grid, seed, seed - 1, range(start, start + 3),
-                            1.0, 0.2)
+    problem = request.getfixturevalue(name)
+    want = _expected_inputs(grid, seed, seed - 1, range(start, start + count),
+                            *_X0_LAW[name], m=problem.m, d=problem.d)
     for leave in (lambda gen: gen.standard_normal(3),
                   lambda gen: gen.integers(0, 2**31, dtype=np.int32)):
         leave(_rng._rekeyed(seed, start, _rng.BROWNIAN))
-        inc, x0 = sl.draw_batch_inputs(sg_problem, grid, seed, seed - 1,
-                                       start, start + 3)
+        inc, x0 = sl.draw_batch_inputs(problem, grid, seed, seed - 1,
+                                       start, start + count)
         np.testing.assert_array_equal(inc, want[0])
         np.testing.assert_array_equal(x0, want[1])
         leave(_rng._rekeyed(seed, start, _rng.INITIAL_STATE))
         np.testing.assert_array_equal(
-            sl.sample_brownian(grid, 1, seed, start + 2).increments,
+            sl.sample_brownian(grid, problem.m, seed, start + 2).increments,
             want[0][2])
 
 
@@ -348,3 +367,16 @@ def test_draw_batch_inputs_checks_keys_before_drawing(lq_problem, grid, seed,
     with pytest.raises(sl.ValidationError):
         sl.draw_batch_inputs(problem, grid, seed, 0, start, stop)
     assert drawn == []
+
+
+def test_replaced_sampler_is_the_one_drawn_from(lq_problem, grid):
+    """A sampler swapped in with dataclasses.replace is called per path,
+    not the built-in batched draw."""
+    def custom(seed, path_index):
+        return np.array([seed + 0.5 * path_index])
+
+    problem = dataclasses.replace(lq_problem, initial_sampler=custom)
+    want = np.array([[9 + 0.5 * p] for p in range(3, 8)])
+    np.testing.assert_array_equal(problem.sample_initial_batch(9, 3, 8), want)
+    _, x0 = sl.draw_batch_inputs(problem, grid, 1, 9, 3, 8)
+    np.testing.assert_array_equal(x0, want)

@@ -223,3 +223,24 @@ def test_non_affine_control_walks_one_node_at_a_time(lq_problem):
     report = sl.lean_am_loss(lq_problem, control, batch, lean)
     np.testing.assert_array_equal(report.per_time_terms, per_time)
     np.testing.assert_array_equal(report.grad_theta, grad)
+
+
+def test_theta_gradient_walk_does_not_evaluate_u(lq_problem, monkeypatch):
+    """The theta-gradient uses the stored u_i, so its walk never asks the
+    control for u; the other walks still do."""
+    control = sl.make_linear_feedback_control(1, 1, 4, 1.0,
+                                              theta=np.full(8, 0.3))
+    batch = sl.simulate_batch(lq_problem, control, sl.TimeGrid(N_STEPS, 1.0),
+                              3, N_PATHS)
+    full = sl.solve_first_order_adjoint(lq_problem, control, batch)
+    want = _reference_theta_gradient(lq_problem, control, batch, full)
+    calls = []
+    for name in ("_u", "_chunk_u"):
+        monkeypatch.setattr(control, name,
+                            lambda *a, _f=getattr(control, name):
+                            calls.append(1) or _f(*a))
+    got = sl.theta_gradient_via_adjoint(lq_problem, control, batch, full)
+    np.testing.assert_array_equal(got, want)
+    assert not calls
+    sl.per_path_lean_am_gradients(lq_problem, control, batch, full)
+    assert calls
