@@ -16,14 +16,18 @@ Three vector adjoints share the terminal anchor a_N = grad_terminal(X_N):
     which ignores how the control feeds back into the state.
   * full  — total-derivative recursion including the diffusion coupling
     terms G_j = dsigma_dx_j + dsigma_du_j du_dx; reduces to `lean`
-    bit-for-bit when the diffusion is (x,u)-free and du_dx == 0. A bundle
-    entry left as None is identically zero and is skipped, not contracted.
+    bit-for-bit when the diffusion is (x,u)-free and the control frozen.
+    A term known to be zero is skipped, not contracted: a bundle entry
+    left as None, and every du_dx term of a frozen control.
   * full_with_h — `full` plus a noise-coupled running term h(x,t).dB in
     the pathwise functional.
 
 The matrix adjoint A_i (second_order kind) differentiates the same
 functional twice; it needs the problem's SecondOrderBundle and a control
-family whose d2u/dx2 vanishes.
+family whose d2u/dx2 vanishes. Its batched matrix-matrix products, like
+those of the total derivatives and `fundamental_matrix`, go through
+`simulate._dot` (matmul at d > 1, an exact broadcast product at d = 1);
+sums over noise columns and matrix-vector contractions stay einsums.
 
 `fundamental_matrix` accumulates per-step linearizations
 Phi_i = (I + dt J_{n-1}) ... (I + dt J_i) with J the *partial* drift
@@ -51,8 +55,8 @@ import numpy as np
 
 from . import _io
 from .errors import UnsupportedProblemError, ValidationError
-from .simulate import (TimeGrid, Trajectory, TrajectoryBatch, _non_finite,
-                       _time_major)
+from .simulate import (TimeGrid, Trajectory, TrajectoryBatch, _dot,
+                       _non_finite, _time_major)
 
 # Bound on the entries of du/dtheta's block in one chunk of a frozen-batch
 # walk. It admits 16 nodes of the trainer's 1,024 scalar paths, spreading
@@ -129,9 +133,11 @@ class _FrozenControl:
 
     The matching losses treat the stored trajectory (and the control
     realized along it) as fixed data, so the adjoints they consume are
-    solved with du/dx == 0. Wrapping rather than flagging keeps the
-    solvers themselves convention-free. Everything else (u, du/dtheta,
-    theta, n_params, ...) is the wrapped control's.
+    solved with du/dx == 0. The backward solvers recognise this wrapper
+    and leave every du/dx term out rather than contract zeros;
+    `state_jacobian` still returns the zeros to any other caller.
+    Everything else (u, du/dtheta, theta, n_params, ...) is the wrapped
+    control's.
     """
 
     x_hessian_is_zero = True
@@ -310,18 +316,22 @@ def _total_first_order(problem, control, x, u, t):
 
     Returns (jac_x (B,d,d), grad_f (B,d), g (B,m,d,d), du_dx (B,k,d)) where
     g[b,j] is the j-th noise column's total state Jacobian, or None when
-    the bundle declares both diffusion derivatives zero.
+    no diffusion derivative enters it. A frozen control's du_dx is zero by
+    construction: it comes back as None, and the partial derivatives are
+    the total ones.
     """
     bundle = problem.derivatives
-    du_dx = np.asarray(control.state_jacobian(x, t), dtype=np.float64)
-    jac_x = bundle.d1_drift(x, u, t) + np.einsum(
-        "bic,bcp->bip", bundle.d2_drift(x, u, t), du_dx)
-    grad_f = bundle.d1_cost(x, u, t) + np.einsum(
-        "bcp,bc->bp", du_dx, bundle.d2_cost(x, u, t))
     g = (None if bundle.dsigma_dx is None
          else np.asarray(bundle.dsigma_dx(x, u, t), dtype=np.float64))
+    if isinstance(control, _FrozenControl):
+        return (np.asarray(bundle.d1_drift(x, u, t), dtype=np.float64),
+                bundle.d1_cost(x, u, t), g, None)
+    du_dx = np.asarray(control.state_jacobian(x, t), dtype=np.float64)
+    jac_x = bundle.d1_drift(x, u, t) + _dot(bundle.d2_drift(x, u, t), du_dx)
+    grad_f = bundle.d1_cost(x, u, t) + np.einsum(
+        "bcp,bc->bp", du_dx, bundle.d2_cost(x, u, t))
     if bundle.dsigma_du is not None:
-        coupled = np.einsum("bjic,bcp->bjip", bundle.dsigma_du(x, u, t), du_dx)
+        coupled = _dot(bundle.dsigma_du(x, u, t), du_dx[:, None])
         g = coupled if g is None else g + coupled
     return jac_x, grad_f, g, du_dx
 
@@ -362,18 +372,21 @@ def solve_first_order_adjoint(problem, control, traj, h_term=None):
 def _total_hessian(lead, xx, xu, uu, du_dx):
     """xx + xu du + (xu du)' + du' uu du, from the terms that are present.
 
-    `lead` names the indices between the batch axis and the last two (""
-    for the cost, "i" for drift components, "ji" for diffusion entries).
+    `lead` is the number of axes between the batch axis and the last two
+    (0 for the cost, 1 for drift components, 2 for diffusion entries).
     Absent (None) terms are identically zero and are left out rather than
-    built and contracted; None when all three are absent.
+    built and contracted, as is every du term when du_dx is None (a frozen
+    control); None when no term is left.
     """
+    if du_dx is None:
+        return xx
     terms = [] if xx is None else [xx]
+    du = du_dx.reshape(du_dx.shape[:1] + (1,) * lead + du_dx.shape[1:])
     if xu is not None:
-        mixed = np.einsum(f"b{lead}pc,bcq->b{lead}pq", xu, du_dx)
+        mixed = _dot(xu, du)
         terms += [mixed, np.swapaxes(mixed, -1, -2)]
     if uu is not None:
-        terms.append(np.einsum(f"bcp,b{lead}ce,beq->b{lead}pq",
-                               du_dx, uu, du_dx))
+        terms.append(_dot(_dot(np.swapaxes(du, -1, -2), uu), du))
     return functools.reduce(operator.add, terms) if terms else None
 
 
@@ -387,12 +400,12 @@ def _total_second_order(problem, control, x, u, t, du_dx):
     def entry(fn):
         return None if fn is None else np.asarray(fn(x, u, t), dtype=np.float64)
 
-    hess_f = _total_hessian("", entry(so.cost_hess_xx), entry(so.cost_hess_xu),
+    hess_f = _total_hessian(0, entry(so.cost_hess_xx), entry(so.cost_hess_xu),
                             entry(so.cost_hess_uu), du_dx)
-    hess_b = _total_hessian("i", entry(so.drift_hess_xx),
+    hess_b = _total_hessian(1, entry(so.drift_hess_xx),
                             entry(so.drift_hess_xu), entry(so.drift_hess_uu),
                             du_dx)
-    hess_s = _total_hessian("ji", entry(so.sigma_hess_xx),
+    hess_s = _total_hessian(2, entry(so.sigma_hess_xx),
                             entry(so.sigma_hess_xu), entry(so.sigma_hess_uu),
                             du_dx)
     return hess_f, hess_b, hess_s
@@ -433,19 +446,19 @@ def solve_second_order_adjoint(problem, control, traj, first):
         hess_f, hess_b, hess_s = _total_second_order(
             problem, control, x, u, t, du_dx)
         a_vec = first_values[:, i + 1]
-        lyap = (np.einsum("bip,biq->bpq", jac_x, a_mat)
-                + np.einsum("bpi,biq->bpq", a_mat, jac_x))
+        lyap = _dot(np.swapaxes(jac_x, 1, 2), a_mat) + _dot(a_mat, jac_x)
         # Absent terms are zero; skipping them keeps the sums' order. With
         # G = None every term of U_j but sum_i a^i hess_s_ij vanishes.
         u_noise = None
         if g is not None:
-            a_g = np.einsum("bpr,bjrq->bjpq", a_mat, g)
+            a_g = _dot(a_mat[:, None], g)
             lyap = lyap + np.einsum("bjip,bjiq->bpq", g, a_g)
-            u_noise = a_g + np.einsum("bjrp,brq->bjpq", g, a_mat)
+            u_noise = a_g + _dot(np.swapaxes(g, 2, 3), a_mat[:, None])
         if hess_f is not None:
             lyap = lyap + hess_f
         if hess_b is not None:
-            lyap = lyap + np.einsum("bi,bipq->bpq", a_vec, hess_b)
+            lyap = lyap + _dot(a_vec[:, None], hess_b.reshape(
+                hess_b.shape[:2] + (-1,))).reshape(a_mat.shape)
         if hess_s is not None:
             a_hs = np.einsum("bi,bjipq->bjpq", a_vec, hess_s)
             if g is not None:
@@ -477,7 +490,7 @@ def fundamental_matrix(problem, control, traj):
 
     def step(i, x, u, t, db, phi):
         jac = np.asarray(bundle.d1_drift(x, u, t), dtype=np.float64)
-        return np.einsum("bij,bjk->bik", phi, eye + dt * jac)
+        return _dot(phi, eye + dt * jac)
 
     return _backward(
         "fundamental matrix", traj,

@@ -113,15 +113,58 @@ def test_lean_adjoint_closed_form_without_running_cost():
         np.testing.assert_allclose(lean.values[:, i, 0], want, rtol=1e-12)
 
 
+def _sweep_d4_case():
+    """The benchmark's solver-sweep LQ: d = k = 4, four control pieces."""
+    d = 4
+    problem = sl.make_lq_problem(
+        -0.5 * np.eye(d) + 0.1 * np.eye(d, k=1), np.eye(d), np.eye(d),
+        0.5 * np.eye(d), np.eye(d), 1.0)
+    piece = np.concatenate([(-0.4 * np.eye(d)).ravel(), np.full(d, 0.05)])
+    return problem, sl.make_linear_feedback_control(d, d, 4, 1.0,
+                                                    theta=np.tile(piece, 4))
+
+
+def _case(request, fixture):
+    """(problem, control) of a conftest fixture pair or the d = 4 sweep."""
+    if fixture == "lq_d4":
+        return _sweep_d4_case()
+    return (request.getfixturevalue(f"{fixture}_problem"),
+            request.getfixturevalue(f"{fixture}_control"))
+
+
 def test_lean_equals_frozen_full_on_time_only_noise(lq_problem, lq_control,
                                                     grid):
     """With sigma(t) noise and a frozen control the two recursions coincide
-    term by term, so the arrays must match bitwise."""
-    batch = sl.simulate_batch(lq_problem, lq_control, grid, 3, 8)
-    lean = sl.solve_lean_adjoint(lq_problem, lq_control, batch)
-    frozen = sl.freeze_control(lq_control)
-    full = sl.solve_first_order_adjoint(lq_problem, frozen, batch)
-    np.testing.assert_array_equal(lean.values, full.values)
+    term by term, so the arrays must match bitwise, sign bits included, at
+    d = 1 and on the d = 4 sweep."""
+    for problem, control in ((lq_problem, lq_control), _sweep_d4_case()):
+        batch = sl.simulate_batch(problem, control, grid, 3, 8)
+        lean = sl.solve_lean_adjoint(problem, control, batch)
+        frozen = sl.freeze_control(control)
+        full = sl.solve_first_order_adjoint(problem, frozen, batch)
+        np.testing.assert_array_equal(lean.values.view(np.uint64),
+                                      full.values.view(np.uint64))
+
+
+@pytest.mark.parametrize("fixture", ["lq", "sg", "lq_d4"])
+def test_frozen_sweeps_skip_du_dx(request, fixture, monkeypatch):
+    """A frozen control's du/dx is zero by construction, so the sweeps
+    never ask for it: they succeed with state_jacobian made to raise."""
+    problem, control = _case(request, fixture)
+    batch = sl.simulate_batch(problem, control, sl.TimeGrid(20, 1.0), 5, 4)
+    frozen = sl.freeze_control(control)
+    want_full = sl.solve_first_order_adjoint(problem, frozen, batch)
+    want_second = sl.solve_second_order_adjoint(problem, frozen, batch,
+                                                want_full)
+
+    def refuse(self, x, t):
+        raise AssertionError("frozen du/dx was asked for")
+
+    monkeypatch.setattr(type(frozen), "state_jacobian", refuse)
+    full = sl.solve_first_order_adjoint(problem, frozen, batch)
+    second = sl.solve_second_order_adjoint(problem, frozen, batch, full)
+    np.testing.assert_array_equal(full.values, want_full.values)
+    np.testing.assert_array_equal(second.values, want_second.values)
 
 
 def test_frozen_control_wrapper(lq_control):
@@ -197,12 +240,7 @@ def test_declared_zeros_equal_explicit_zeros(d):
         control = sl.make_linear_feedback_control(
             1, 1, 10, 5.0, theta=np.tile([-0.4, 0.05], 10))
     else:
-        problem = sl.make_lq_problem(
-            -0.5 * np.eye(d) + 0.1 * np.eye(d, k=1), np.eye(d), np.eye(d),
-            0.5 * np.eye(d), np.eye(d), 1.0)
-        piece = np.concatenate([(-0.4 * np.eye(d)).ravel(), np.full(d, 0.05)])
-        control = sl.make_linear_feedback_control(d, d, 4, 1.0,
-                                                  theta=np.tile(piece, 4))
+        problem, control = _sweep_d4_case()
     assert problem.derivatives.dsigma_dx is None
     assert problem.derivatives.dsigma_du is None
     explicit = _with_explicit_zero_sigma_derivatives(problem)
@@ -355,6 +393,156 @@ def test_second_order_requires_bundle(lq_problem, lq_control, grid):
     full = sl.solve_first_order_adjoint(stripped, lq_control, batch)
     with pytest.raises(sl.UnsupportedProblemError):
         sl.solve_second_order_adjoint(stripped, lq_control, batch, full)
+
+
+# ---------------------------------------------------------------------------
+# the sweeps' matrix products against their einsum forms
+
+
+def _einsum_first_order(problem, control, x, u, t):
+    """The total-derivative coefficients as einsums, du/dx always asked
+    for and contracted (zeros for a frozen control)."""
+    bundle = problem.derivatives
+    du_dx = np.asarray(control.state_jacobian(x, t), dtype=np.float64)
+    jac_x = bundle.d1_drift(x, u, t) + np.einsum(
+        "bic,bcp->bip", bundle.d2_drift(x, u, t), du_dx)
+    grad_f = bundle.d1_cost(x, u, t) + np.einsum(
+        "bcp,bc->bp", du_dx, bundle.d2_cost(x, u, t))
+    g = (None if bundle.dsigma_dx is None
+         else np.asarray(bundle.dsigma_dx(x, u, t), dtype=np.float64))
+    if bundle.dsigma_du is not None:
+        coupled = np.einsum("bjic,bcp->bjip", bundle.dsigma_du(x, u, t), du_dx)
+        g = coupled if g is None else g + coupled
+    return jac_x, grad_f, g, du_dx
+
+
+def _einsum_hessian(lead, xx, xu, uu, du_dx):
+    terms = [] if xx is None else [xx]
+    if xu is not None:
+        mixed = np.einsum(f"b{lead}pc,bcq->b{lead}pq", xu, du_dx)
+        terms += [mixed, np.swapaxes(mixed, -1, -2)]
+    if uu is not None:
+        terms.append(np.einsum(f"bcp,b{lead}ce,beq->b{lead}pq",
+                               du_dx, uu, du_dx))
+    return sum(terms[1:], terms[0]) if terms else None
+
+
+def _einsum_sweep(batch, anchor, step):
+    """values[:, n] = anchor(X_N), values[:, i] = step(i, ..., values[:, i+1])."""
+    grid = batch.grid
+    values = [anchor(batch.states[:, -1])]
+    for i in range(grid.n_steps - 1, -1, -1):
+        values.append(step(i, batch.states[:, i], batch.controls[:, i],
+                           float(grid.nodes[i]), batch.increments[:, i],
+                           values[-1]))
+    return np.stack(values[::-1], axis=1)
+
+
+def _einsum_full(problem, control, batch):
+    dt = batch.grid.dt
+
+    def step(i, x, u, t, db, a):
+        jac_x, grad_f, g, _ = _einsum_first_order(problem, control, x, u, t)
+        a_new = a + dt * (np.einsum("bip,bi->bp", jac_x, a) + grad_f)
+        if g is None:
+            return a_new
+        return a_new + np.einsum("bjp,bj->bp",
+                                 np.einsum("bjip,bi->bjp", g, a), db)
+
+    return _einsum_sweep(batch, problem.derivatives.grad_terminal, step)
+
+
+def _einsum_second_order(problem, control, batch, first):
+    so, dt = problem.derivatives.second_order, batch.grid.dt
+
+    def symmetric(a_mat):
+        return 0.5 * (a_mat + a_mat.transpose(0, 2, 1))
+
+    def hessians(x, u, t, du_dx):
+        def entry(fn):
+            return (None if fn is None
+                    else np.asarray(fn(x, u, t), dtype=np.float64))
+        return [_einsum_hessian(lead, entry(xx), entry(xu), entry(uu), du_dx)
+                for lead, xx, xu, uu in (
+                    ("", so.cost_hess_xx, so.cost_hess_xu, so.cost_hess_uu),
+                    ("i", so.drift_hess_xx, so.drift_hess_xu,
+                     so.drift_hess_uu),
+                    ("ji", so.sigma_hess_xx, so.sigma_hess_xu,
+                     so.sigma_hess_uu))]
+
+    def step(i, x, u, t, db, a_mat):
+        jac_x, _, g, du_dx = _einsum_first_order(problem, control, x, u, t)
+        hess_f, hess_b, hess_s = hessians(x, u, t, du_dx)
+        a_vec = first[:, i + 1]
+        lyap = (np.einsum("bip,biq->bpq", jac_x, a_mat)
+                + np.einsum("bpi,biq->bpq", a_mat, jac_x))
+        u_noise = None
+        if g is not None:
+            a_g = np.einsum("bpr,bjrq->bjpq", a_mat, g)
+            lyap = lyap + np.einsum("bjip,bjiq->bpq", g, a_g)
+            u_noise = a_g + np.einsum("bjrp,brq->bjpq", g, a_mat)
+        if hess_f is not None:
+            lyap = lyap + hess_f
+        if hess_b is not None:
+            lyap = lyap + np.einsum("bi,bipq->bpq", a_vec, hess_b)
+        if hess_s is not None:
+            a_hs = np.einsum("bi,bjipq->bjpq", a_vec, hess_s)
+            if g is not None:
+                lyap = lyap + 0.5 * np.einsum("bjpr,bjrq->bpq", a_hs, g)
+            u_noise = a_hs if u_noise is None else u_noise + a_hs
+        a_new = a_mat + dt * lyap
+        if u_noise is not None:
+            a_new = a_new + np.einsum("bjpq,bj->bpq", u_noise, db)
+        return symmetric(a_new)
+
+    return _einsum_sweep(
+        batch, lambda x_n: symmetric(problem.derivatives.hess_terminal(x_n)),
+        step)
+
+
+def _einsum_propagators(problem, batch):
+    dt, eye = batch.grid.dt, np.eye(problem.d)
+
+    def step(i, x, u, t, db, phi):
+        jac = problem.derivatives.d1_drift(x, u, t)
+        return np.einsum("bij,bjk->bik", phi, eye + dt * jac)
+
+    return _einsum_sweep(
+        batch, lambda x_n: np.broadcast_to(eye, (len(x_n),) + eye.shape),
+        step)
+
+
+@pytest.mark.parametrize("fixture", ["lq", "sg", "lq_d4"])
+def test_matrix_products_match_einsum_forms(request, fixture):
+    """The sweeps' batched products (matmul, or `_dot`'s broadcast product
+    at an inner dimension of 1) and the frozen control's skipped du/dx
+    against every step written out as einsums with du/dx contracted. At
+    d = 1 (and the scalar geometric problem's G branch) the bits agree,
+    sign bits included; at d = 4 matmul re-associates the sums, so the
+    arrays agree to 1e-14 of their largest entry."""
+    problem, control = _case(request, fixture)
+    batch = sl.simulate_batch(problem, control, sl.TimeGrid(30, 1.0), 8, 16)
+    got, want = {}, {}
+    for tag, ctrl in (("", control), ("frozen ", sl.freeze_control(control))):
+        full = sl.solve_first_order_adjoint(problem, ctrl, batch)
+        got[tag + "full"] = full.values
+        want[tag + "full"] = _einsum_full(problem, ctrl, batch)
+        got[tag + "second"] = sl.solve_second_order_adjoint(
+            problem, ctrl, batch, full).values
+        want[tag + "second"] = _einsum_second_order(problem, ctrl, batch,
+                                                    full.values)
+    got["propagators"] = sl.fundamental_matrix(problem, control,
+                                               batch).matrices
+    want["propagators"] = _einsum_propagators(problem, batch)
+    for name, value in got.items():
+        if problem.d == 1:
+            np.testing.assert_array_equal(value.view(np.uint64),
+                                          want[name].view(np.uint64),
+                                          err_msg=name)
+        else:
+            scale = np.max(np.abs(want[name]))
+            np.testing.assert_allclose(value, want[name], rtol=0.0,
+                                       atol=1e-14 * scale, err_msg=name)
 
 
 # ---------------------------------------------------------------------------
