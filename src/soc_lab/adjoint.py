@@ -40,9 +40,12 @@ Every solver is an anchor at node n plus one backward step, run by the
 one sweep `_backward`, which also checks the values for non-finite entries
 once. The walks that are not recursions (the matching losses, the
 per-path and theta-gradients, the MSA step) read the stored batch through
-one walker, `_walk`, in chunks of grid nodes. Adjoints of every kind come back as `Adjoints`, propagators as
-`Propagators`; each holds a batch, or one path when solved from one
-Trajectory or indexed out of a batch.
+one walker, `_walk`, in chunks of grid nodes. They contract du/dtheta in
+the factored form `ControlModel.node_chunk` gives, an affine control's
+feature matrix phi and its theta-index layout, and add the results at
+the layout's columns. Adjoints of every kind come back as `Adjoints`,
+propagators as `Propagators`; each holds a batch, or one path when solved
+from one Trajectory or indexed out of a batch.
 """
 
 from __future__ import annotations
@@ -58,10 +61,13 @@ from .errors import UnsupportedProblemError, ValidationError
 from .simulate import (TimeGrid, Trajectory, TrajectoryBatch, _dot,
                        _non_finite, _time_major)
 
-# Bound on the entries of du/dtheta's block in one chunk of a frozen-batch
-# walk. It admits 16 nodes of the trainer's 1,024 scalar paths, spreading
-# each call's fixed cost thin, and keeps a chunk's temporaries cache-sized;
-# a batch whose block at one node exceeds it is walked node by node.
+# Bound on the entries a zero-padded (rows, k, k * F) du/dtheta block would
+# hold in one chunk of a frozen-batch walk, k times the layout's k * F
+# entries a row. It admits 16 nodes of the trainer's 1,024 scalar paths,
+# spreading each call's fixed cost thin, and keeps a chunk's temporaries
+# cache-sized; a batch over it at one node is walked node by node. Sized
+# by phi's F entries a row instead, chunks at d = k = 4 would grow k**2
+# times, and larger ones there raised peak memory and slowed the MSA step.
 _CHUNK_BLOCK = 32768
 
 LEAN = "lean"
@@ -231,21 +237,21 @@ def _backward(solver, traj, anchor, step, wrap):
 def _walk(problem, control, traj, *stored, with_u=True):
     """Walk a frozen batch in chunks of grid nodes.
 
-    Yields (lo, hi, t, x, u, cols, block, *rows) for the chunks [lo, hi)
+    Yields (lo, hi, t, x, u, layouts, phi, *rows) for the chunks [lo, hi)
     of nodes 0..n_steps-1, as node-major rows (row j*B + b is path b at
-    node lo + j): x holds the stored X_i, (u, cols, block) is
+    node lo + j): x holds the stored X_i, (u, layouts, phi) is
     `control.node_chunk` at the current theta (u is None, and not
     evaluated, with with_u=False), and `rows` has one entry per
     node-aligned (B, >= n_steps, ...) array in `stored`. Callbacks take a
     chunk at t = t_lo, so a chunk is one node unless the problem is
-    `time_homogeneous` and the control `affine`; then its block has up to
-    _CHUNK_BLOCK entries.
+    `time_homogeneous` and the control `affine`; then it holds as many
+    nodes as keep B * k * (layout entries) within _CHUNK_BLOCK.
     """
     grid, states, _, _, _ = _batch_view(traj)
     n, batch = grid.n_steps, states.shape[0]
     times = grid.nodes.tolist()
 
-    def chunk(x, lo, hi):
+    def chunk(x, lo, hi, with_u=with_u):
         if with_u:
             return control.node_chunk(x, times[lo:hi])
         return (None,) + control._du_dtheta(
@@ -253,7 +259,7 @@ def _walk(problem, control, traj, *stored, with_u=True):
 
     size = 1
     if problem.time_homogeneous and control.affine:
-        row = chunk(states[:1, 0], 0, 1)[2].size
+        row = control.k * chunk(states[:1, 0], 0, 1, with_u=False)[1].size
         size = max(1, _CHUNK_BLOCK // (batch * row))
     for lo in range(0, n, size):
         hi = min(lo + size, n)
@@ -268,11 +274,40 @@ def _per_node(rows, lo, hi):
     return rows.reshape((hi - lo, -1) + rows.shape[1:])
 
 
-def _add_per_path(grad, lo, hi, cols, rows):
-    """Add a chunk's per-path rows (c*B, w) into the parameter-major
-    (P, B) buffer `grad`, node j's at its columns cols[j]."""
-    for col, g in zip(cols, _per_node(rows, lo, hi)):
-        grad[col] += g.T
+def _add_per_path(grad, lo, hi, layouts, phi, v, scale=None):
+    """Add a chunk's per-path du/dtheta' v, times `scale` if given, into
+    the parameter-major (P, B) buffer `grad`: phi[b, f] v[b, c] of node
+    j's path b goes to grad[layouts[j, c, f], b], one contiguous row at a
+    time. A per-component phi (one node) adds its sum over components at
+    its layout's first row."""
+    if phi.ndim == 3:
+        terms = np.einsum("bcp,bc->bp", phi, v).T
+        grad[layouts[0, 0]] += terms if scale is None else scale * terms
+        return
+    for layout, phi_j, v_j in zip(layouts, _per_node(phi, lo, hi),
+                                  _per_node(v, lo, hi)):
+        for (c, f), row in np.ndenumerate(layout):
+            terms = phi_j[:, f] * v_j[:, c]
+            grad[row] += terms if scale is None else scale * terms
+
+
+def _node_sums(phi, v, lo, hi):
+    """du/dtheta' v summed over each node's paths, (c, k, F); (1, 1, P)
+    for a per-component phi (one node), its components summed too."""
+    if phi.ndim == 3:
+        return np.einsum("nbcp,nbc->np", _per_node(phi, lo, hi),
+                         _per_node(v, lo, hi))[:, None]
+    return np.einsum("nbf,nbc->ncf", _per_node(phi, lo, hi),
+                     _per_node(v, lo, hi))
+
+
+def _scatter(target, layouts, values):
+    """target[layouts[j]] += values[j], node after node of a chunk, with
+    values as `_node_sums` gives them. Nodes in one interval name the
+    same columns, which `np.add.at` adds in turn. A per-component phi's
+    values come summed over components, and its layout rows all name the
+    same columns: its first row places them."""
+    np.add.at(target, layouts[:, :values.shape[1]], values)
 
 
 def _lean_hamiltonian(problem, x, u, t, a):
@@ -550,15 +585,14 @@ def theta_gradient_via_adjoint(problem, control, traj, adjoint):
     values = _aligned(adjoint, traj, "adjoint")
     dsigma_du, dt = problem.derivatives.dsigma_du, grid.dt
     grad = np.zeros((control.n_params, states.shape[0]))
-    for lo, hi, t, x, _, cols, block, u, a_next, db in _walk(
+    for lo, hi, t, x, _, layouts, phi, u, a_next, db in _walk(
             problem, control, traj, controls, values[:, 1:], increments,
             with_u=False):
         v = dt * _lean_u_gradient(problem, x, u, t, a_next)
         if dsigma_du is not None:
             v = v + np.einsum("bjic,bi,bj->bc", dsigma_du(x, u, t), a_next,
                               db)
-        _add_per_path(grad, lo, hi, cols,
-                      np.einsum("bcp,bc->bp", block, v))
+        _add_per_path(grad, lo, hi, layouts, phi, v)
     return grad[:, 0] if single else grad.T.copy()
 
 

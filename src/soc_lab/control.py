@@ -3,10 +3,10 @@
 A ControlModel maps (state batch, time) -> control batch through a flat
 parameter vector theta, and exposes the two Jacobians everything else
 needs: d u / d theta (B, k, P) and d u / d x (B, k, d). `node_chunk`
-gives u and d u / d theta on a chunk of grid nodes, the latter as a
-column slice per node and a block: every column outside a node's slice
-is zero there, so the frozen-batch walks contract the block alone.
-Families:
+gives u and d u / d theta on a chunk of grid nodes, the latter factored:
+an affine family's u_c is sum_f theta[layout(c, f)] phi_f(x, t), so
+d u / d theta is one small feature matrix phi and an integer layout per
+node, and the frozen-batch walks contract phi alone. Families:
 
   * linear_feedback  — piecewise-constant gains: u = K_j x + c_j on the
     j-th of n uniform intervals of [0, horizon].
@@ -61,7 +61,7 @@ class ControlModel:
     A family names its JSON tag (`family`) and its one structural keyword
     (`_knob`, also an attribute), and supplies `_n_params` and u, du/dtheta
     and du/dx (`_u`, `_du_dtheta`, `_du_dx`) at a checked (x, t).
-    `_du_dtheta` takes a list of node times and returns (cols, block) as
+    `_du_dtheta` takes a list of node times and returns (layouts, phi) as
     `node_chunk` documents. `x_hessian_is_zero` says d2u/dx2 vanishes
     identically.
     """
@@ -120,14 +120,17 @@ class ControlModel:
         return self._u(*self._point(x, t))
 
     def node_chunk(self, x, times):
-        """u and du/dtheta on a chunk of grid nodes, as (u, cols, block).
+        """u and du/dtheta on a chunk of grid nodes, as (u, layouts, phi).
 
         x (c*B, d) holds B states at each of the c `times`, node-major:
-        rows j*B to (j+1)*B - 1 are at times[j]. u is (c*B, k) and block
-        (c*B, k, w); cols[j] is node j's column slice of theta, outside
-        which du/dtheta == 0 there, so `grad[..., cols[j]] += ...` on the
-        block equals the dense contraction. Only `affine` families take
-        more than one node.
+        rows j*B to (j+1)*B - 1 are at times[j]. u is (c*B, k). du/dtheta
+        comes factored: layouts is an integer (c, k, F) array, and at node
+        j row b's du_c/dtheta is phi[b, f] at column layouts[j, c, f] and
+        zero elsewhere. An `affine` family's phi is (c*B, F), shared by the
+        components, whose layout rows name disjoint columns. one_hidden_layer
+        is no Kronecker product: its phi is the dense (B, k, P) du/dtheta,
+        phi[b, c, f] at layouts[0, c, f], and every layout row names all P
+        columns. Only `affine` families take more than one node.
         """
         x, times = self._chunk_point(x, times)
         return (self._chunk_u(x, times),) + self._du_dtheta(x, times)
@@ -148,9 +151,10 @@ class ControlModel:
     def jacobians(self, x, t):
         """(du_dtheta (B,k,P), du_dx (B,k,d)) at (x, t)."""
         x, t = self._point(x, t)
-        (cols,), block = self._du_dtheta(x, [t])
+        (layout,), phi = self._du_dtheta(x, [t])
         du_dtheta = np.zeros((x.shape[0], self.k, self.n_params))
-        du_dtheta[..., cols] = block
+        du_dtheta[:, np.arange(self.k)[:, None], layout] = (
+            phi[:, None] if phi.ndim == 2 else phi)
         return du_dtheta, self._du_dx(x, t)
 
     def state_jacobian(self, x, t):
@@ -202,6 +206,9 @@ class _LinearFeedback(_Affine):
     def __init__(self, d, k, horizon, n_intervals, theta=None):
         self.n_intervals = _positive_count(n_intervals, "n_intervals")
         super().__init__(d, k, horizon, theta)
+        # component c's gain row and offset in the first interval's block
+        self._layout = np.column_stack([
+            np.arange(k * d).reshape(k, d), k * d + np.arange(k)])
 
     def _n_params(self):
         return self.n_intervals * (self.k * self.d + self.k)
@@ -221,15 +228,12 @@ class _LinearFeedback(_Affine):
                 self.theta[base + k * d:base + k * d + k])
 
     def _du_dtheta(self, x, times):
-        """Only the active interval's k*d + k columns; the block is the
-        same in every interval."""
-        d, k = self.d, self.k
-        block = np.zeros((x.shape[0], k, k * d + k))
-        for c in range(k):
-            block[:, c, c * d:(c + 1) * d] = x
-            block[:, c, k * d + c] = 1.0
-        return [slice(base, base + k * d + k)
-                for base in map(self._base, times)], block
+        """phi = [x, 1] at the active interval's gain row and offset."""
+        phi = np.empty((x.shape[0], self.d + 1))
+        phi[:, :self.d] = x
+        phi[:, self.d] = 1.0
+        bases = np.array([self._base(t) for t in times])
+        return self._layout + bases[:, None, None], phi
 
 
 class _FeatureLinear(_Affine):
@@ -273,11 +277,8 @@ class _FeatureLinear(_Affine):
                            per_node)[:, None]
             blocks.append(x * tv if uses_x else tv)
         phi = np.concatenate(blocks, axis=1)
-        n_feat = phi.shape[1]
-        du_dtheta = np.zeros((x.shape[0], self.k, self.k * n_feat))
-        for c in range(self.k):
-            du_dtheta[:, c, c * n_feat:(c + 1) * n_feat] = phi
-        return [slice(None)] * len(times), du_dtheta
+        layout = np.arange(self.n_params).reshape(self.k, -1)
+        return np.broadcast_to(layout, (len(times),) + layout.shape), phi
 
 
 class _OneHiddenLayer(ControlModel):
@@ -320,7 +321,9 @@ class _OneHiddenLayer(ControlModel):
             dw2[:, c, c, :] = hidden
         dw2 = dw2.reshape(batch, k, k * width)
         db2 = np.broadcast_to(np.eye(k), (batch, k, k))
-        return [slice(None)], np.concatenate([dw1, db1, dw2, db2], axis=2)
+        n_params = self.n_params
+        return (np.broadcast_to(np.arange(n_params), (1, k, n_params)),
+                np.concatenate([dw1, db1, dw2, db2], axis=2))
 
     def _du_dx(self, x, t):
         hidden = self._hidden(x, t)[1]

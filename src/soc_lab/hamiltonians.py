@@ -15,10 +15,13 @@ The losses, the per-path lean-AM gradients, the theta-gradient and the
 MSA step share one walker over the frozen batch (`adjoint._walk`), which
 hands every callback a chunk of grid nodes at once, one alignment check
 of the stored values (`adjoint._aligned`), and one copy each of the lean
-Hamiltonian f + <b, a> and its u-gradient. Each loss returns a LossReport
-whose loss_value is exactly dt * sum(per_time_terms) (per_time_terms[i] =
-path average of the i-th integrand) and whose grad_theta is the analytic
-parameter gradient of loss_value for the same frozen batch.
+Hamiltonian f + <b, a> and its u-gradient. The walks contract the
+u-gradient v with du/dtheta's feature matrix phi, not with a zero-padded
+(B, k, P) block: sum_b phi[b, f] v[b, c] lands at theta's column
+layout(c, f). Each loss returns a LossReport whose loss_value is exactly
+dt * sum(per_time_terms) (per_time_terms[i] = path average of the i-th
+integrand) and whose grad_theta is the analytic parameter gradient of
+loss_value for the same frozen batch.
 
 `soc_objective` estimates the true discrete control cost on fresh paths
 and reports (mean, standard error).
@@ -33,7 +36,8 @@ import numpy as np
 
 from . import _io
 from .adjoint import (SECOND_ORDER, _add_per_path, _aligned,
-                      _lean_hamiltonian, _lean_u_gradient, _per_node, _walk)
+                      _lean_hamiltonian, _lean_u_gradient, _node_sums,
+                      _per_node, _scatter, _walk)
 from .errors import UnsupportedProblemError, ValidationError
 from .simulate import _positive_count, draw_batch_inputs, simulate_costs
 
@@ -113,27 +117,56 @@ class LossReport:
         return float(np.linalg.norm(self.grad_theta))
 
 
-def _walk_loss(kind, problem, control, traj_batch, adjoints, step,
-               *stored):
-    """LossReport of a per-node integrand on the frozen-batch walk.
+def _lean_am_step(problem, t, x, u, a):
+    return (_lean_hamiltonian(problem, x, u, t, a),
+            _lean_u_gradient(problem, x, u, t, a))
 
-    step(t, x, u, a_i, *rows) returns, on a chunk's rows, the per-path
-    integrand and its derivative in u; `stored` are further node-aligned
-    arrays for `step`, as `adjoint._walk` takes them. The walk chains the
-    derivative through du/dtheta's nonzero block.
+
+def _bam_step(problem, t, x, u, a, a_mat):
+    sigma = problem.diffusion(x, u, t)
+    ham = (_lean_hamiltonian(problem, x, u, t, a)
+           + 0.5 * np.einsum("bij,bej,bie->b", sigma, sigma, a_mat))
+    v = _lean_u_gradient(problem, x, u, t, a)
+    dsigma_du = problem.derivatives.dsigma_du
+    if dsigma_du is not None:
+        a_sigma = np.einsum("bde,bej->bdj", a_mat, sigma)
+        v = v + np.einsum("bdj,bjdc->bc", a_sigma, dsigma_du(x, u, t))
+    return ham, v
+
+
+def _quadratic_am_step(problem, t, x, u, a):
+    resid = u + np.einsum("bic,bi->bc", problem.diffusion(x, u, t), a)
+    return 0.5 * np.einsum("bk,bk->b", resid, resid), resid
+
+
+# step(problem, t, x, u, a_i, *rows) of each loss kind: on a chunk's rows,
+# the per-path integrand and its derivative in u
+_STEPS = {"lean_am": _lean_am_step, "bam": _bam_step,
+          "quadratic_am": _quadratic_am_step}
+
+
+def _walk_loss(kind, problem, control, traj_batch, adjoints, *stored,
+               fit=None):
+    """LossReport of the `kind` loss on the frozen-batch walk.
+
+    `stored` are further node-aligned arrays for its step, as
+    `adjoint._walk` takes them. The walk contracts the step's u-derivative
+    with du/dtheta's features. `fit`, if given, is also called with every
+    chunk as fit(lo, hi, t, x, u, layouts, phi, a_i): the trainer sums the
+    MSA normal equations in the loss walk.
     """
     avals = _aligned(adjoints, traj_batch, "adjoints")
     dt = traj_batch.grid.dt
     per_time = np.empty(traj_batch.grid.n_steps)
     grad = np.zeros(control.n_params)
-    for lo, hi, t, x, u, cols, block, a, *rows in _walk(
+    for lo, hi, t, x, u, layouts, phi, a, *rows in _walk(
             problem, control, traj_batch, avals, *stored):
-        value, v = step(t, x, u, a, *rows)
+        value, v = _STEPS[kind](problem, t, x, u, a, *rows)
         per_time[lo:hi] = _per_node(value, lo, hi).mean(axis=1)
-        sums = np.einsum("nbcp,nbc->np", _per_node(block, lo, hi),
-                         _per_node(v, lo, hi))
-        for col, g in zip(cols, sums / avals.shape[0]):
-            grad[col] += dt * g
+        _scatter(grad, layouts,
+                 dt * (_node_sums(phi, v, lo, hi) / avals.shape[0]))
+        if fit is not None:
+            fit(lo, hi, t, x, u, layouts, phi, a)
     return LossReport(kind=kind, loss_value=float(dt * per_time.sum()),
                       grad_theta=grad, per_time_terms=per_time,
                       n_paths=avals.shape[0])
@@ -146,12 +179,8 @@ def lean_am_loss(problem, control, traj_batch, lean_adjoints):
     with u = control.evaluate(X_i, t_i); gradient
     dt * sum_i mean_b [ du_dtheta' (d2_cost + d2_drift' a_i) ].
     """
-    def step(t, x, u, a):
-        return (_lean_hamiltonian(problem, x, u, t, a),
-                _lean_u_gradient(problem, x, u, t, a))
-
-    return _walk_loss("lean_am", problem, control, traj_batch, lean_adjoints,
-                      step)
+    return _walk_loss("lean_am", problem, control, traj_batch,
+                      lean_adjoints)
 
 
 def bam_loss(problem, control, traj_batch, adjoints, matrix_adjoints):
@@ -162,22 +191,9 @@ def bam_loss(problem, control, traj_batch, adjoints, matrix_adjoints):
     u, making the gradient equal to the lean one on the same inputs. A
     bundle that declares dsigma_du zero (None) skips it.
     """
-    dsigma_du = problem.derivatives.dsigma_du
-
-    def step(t, x, u, a, a_mat):
-        sigma = problem.diffusion(x, u, t)
-        ham = (_lean_hamiltonian(problem, x, u, t, a)
-               + 0.5 * np.einsum("bij,bej,bie->b", sigma, sigma, a_mat))
-        v = _lean_u_gradient(problem, x, u, t, a)
-        if dsigma_du is not None:
-            a_sigma = np.einsum("bde,bej->bdj", a_mat, sigma)
-            v = v + np.einsum("bdj,bjdc->bc", a_sigma, dsigma_du(x, u, t))
-        return ham, v
-
     mvals = _aligned(matrix_adjoints, traj_batch, "matrix_adjoints",
                      (SECOND_ORDER,))
-    return _walk_loss("bam", problem, control, traj_batch, adjoints, step,
-                      mvals)
+    return _walk_loss("bam", problem, control, traj_batch, adjoints, mvals)
 
 
 def per_path_lean_am_gradients(problem, control, traj_batch, lean_adjoints):
@@ -191,12 +207,21 @@ def per_path_lean_am_gradients(problem, control, traj_batch, lean_adjoints):
     avals = _aligned(lean_adjoints, traj_batch, "lean_adjoints")
     dt = traj_batch.grid.dt
     grads = np.zeros((control.n_params, avals.shape[0]))
-    for lo, hi, t, x, u, cols, block, a in _walk(problem, control,
-                                                 traj_batch, avals):
+    for lo, hi, t, x, u, layouts, phi, a in _walk(problem, control,
+                                                  traj_batch, avals):
         v = _lean_u_gradient(problem, x, u, t, a)
-        _add_per_path(grads, lo, hi, cols,
-                      dt * np.einsum("bcp,bc->bp", block, v))
+        _add_per_path(grads, lo, hi, layouts, phi, v, dt)
     return grads.T.copy()
+
+
+def _check_quadratic_am(problem):
+    """UnsupportedProblemError unless `quadratic_am_loss` is defined."""
+    if not (problem.diffusion_time_only and problem.control_affine_quadratic
+            and problem.k == problem.m):
+        raise UnsupportedProblemError(
+            f"quadratic_am_loss needs a diffusion_time_only, "
+            f"control_affine_quadratic problem with k == m, "
+            f"got k={problem.k}, m={problem.m}")
 
 
 def quadratic_am_loss(problem, control, traj_batch, lean_adjoints):
@@ -207,19 +232,9 @@ def quadratic_am_loss(problem, control, traj_batch, lean_adjoints):
     through the diffusion matrix), its gradient coincides with the lean-AM
     gradient exactly, not just in expectation.
     """
-    if not (problem.diffusion_time_only and problem.control_affine_quadratic
-            and problem.k == problem.m):
-        raise UnsupportedProblemError(
-            f"quadratic_am_loss needs a diffusion_time_only, "
-            f"control_affine_quadratic problem with k == m, "
-            f"got k={problem.k}, m={problem.m}")
-
-    def step(t, x, u, a):
-        resid = u + np.einsum("bic,bi->bc", problem.diffusion(x, u, t), a)
-        return 0.5 * np.einsum("bk,bk->b", resid, resid), resid
-
+    _check_quadratic_am(problem)
     return _walk_loss("quadratic_am", problem, control, traj_batch,
-                      lean_adjoints, step)
+                      lean_adjoints)
 
 
 def sample_pathwise_costs(problem, control, grid, master_seed, n_paths,

@@ -148,6 +148,10 @@ class ProblemSpec:
             the frozen-batch walks may pass several grid nodes in one
             call. The probe compares outputs at a few sampled times and
             can miss t-dependence between them.
+        diffusion_ignores_control: sigma(x,u,t) does not depend on u (set
+            with diffusion_time_only), so the lean Hamiltonian is the
+            one a control's gradient needs; the trainer refuses lean_am
+            otherwise.
 
     `sample_initial(seed, p)` draws path p's initial state through the
     per-path `initial_sampler`; `sample_initial_batch(seed, start, stop)`
@@ -170,6 +174,7 @@ class ProblemSpec:
     diffusion_time_only: bool = dataclasses.field(init=False)
     control_affine_quadratic: bool = dataclasses.field(init=False)
     time_homogeneous: bool = dataclasses.field(init=False)
+    diffusion_ignores_control: bool = dataclasses.field(init=False)
     name: str = "custom"
     lq_data: Optional[LQData] = None
     ou_params: Optional[OUParams] = None
@@ -180,12 +185,14 @@ class ProblemSpec:
                                _positive_count(getattr(self, size), size))
         object.__setattr__(self, "horizon", _positive_horizon(self.horizon))
         rng = _rng.philox_generator(0, 1, _rng.PROBE)
-        dto = _probe_diffusion_time_only(self, rng)
+        dto = _probe_diffusion_fixed(self, rng)
         object.__setattr__(self, "diffusion_time_only", dto)
         object.__setattr__(self, "control_affine_quadratic",
                            dto and _probe_control_affine_quadratic(self, rng))
         object.__setattr__(self, "time_homogeneous",
                            _probe_time_homogeneous(self, rng))
+        object.__setattr__(self, "diffusion_ignores_control",
+                           dto or _probe_diffusion_fixed(self, rng, False))
 
     def sample_initial(self, seed, path_index):
         """Draw one initial state; (seed, path_index) fully determine it."""
@@ -363,12 +370,16 @@ def _check_entry(entry, fn, zero_shape, fd, xb, ub, t, rtol, desc):
                  desc)
 
 
-def _probe_diffusion_time_only(problem, rng):
+def _probe_diffusion_fixed(problem, rng, vary_x=True):
+    """sigma is the same across draws of u, and of x with vary_x, at each
+    of a few sampled times."""
     for _ in range(4):
         t = float(rng.uniform(0.0, problem.horizon))
+        x = None if vary_x else rng.standard_normal((1, problem.d))
         ref = None
         for _ in range(4):
-            x = rng.standard_normal((1, problem.d))
+            if vary_x:
+                x = rng.standard_normal((1, problem.d))
             u = rng.standard_normal((1, problem.k))
             sig = np.asarray(problem.diffusion(x, u, t), dtype=np.float64)
             if ref is None:

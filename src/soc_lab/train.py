@@ -9,10 +9,12 @@ quadratic-ish landscape; resampling the batch every iteration (default)
 turns this into stochastic descent on the surrogate objective.
 
 `msa_exact` replaces the gradient step for the affine control families
-(`control.affine`: u = K(t) x + c(t), linear in theta) by
-`msa_exact_step`, which solves for the theta at which the lean-AM gradient
-on the batch vanishes (control-affine-quadratic problems only): simulate,
-solve adjoints, fit the control, repeat.
+(`control.affine`: u = K(t) x + c(t), linear in theta) by the solve of
+`msa_exact_step`, the theta at which the lean-AM gradient on the batch
+vanishes (control-affine-quadratic problems only): simulate, solve
+adjoints, fit the control, repeat. The fit's normal equations are summed
+in the walk that evaluates the loss, so each iteration walks its batch
+once. What the loop cannot train is refused before the first batch.
 """
 
 from __future__ import annotations
@@ -25,13 +27,14 @@ from typing import Optional
 import numpy as np
 
 from . import _io
-from .adjoint import (_aligned, _per_node, _walk, freeze_control,
-                      solve_first_order_adjoint, solve_lean_adjoint,
-                      solve_second_order_adjoint)
+from .adjoint import (_aligned, _node_sums, _per_node, _scatter, _walk,
+                      freeze_control, solve_first_order_adjoint,
+                      solve_lean_adjoint, solve_second_order_adjoint)
 from .errors import (SimulationError, TrainingAborted,
                      UnsupportedProblemError, ValidationError)
-from .hamiltonians import (_mean_se, bam_loss, lean_am_loss,
-                           quadratic_am_loss, sample_pathwise_costs)
+from .hamiltonians import (_check_quadratic_am, _mean_se, _walk_loss,
+                           bam_loss, lean_am_loss, quadratic_am_loss,
+                           sample_pathwise_costs)
 from .simulate import _positive_count, simulate_batch
 
 logger = logging.getLogger(__name__)
@@ -109,17 +112,67 @@ def write_history_csv(history, path):
     _io.write_csv(path, header, rows)
 
 
-def _solve_loss(problem, control, batch, loss_kind):
-    if loss_kind == "lean_am":
-        lean = solve_lean_adjoint(problem, control, batch)
-        return lean_am_loss(problem, control, batch, lean), lean
-    if loss_kind == "quadratic_am":
-        lean = solve_lean_adjoint(problem, control, batch)
-        return quadratic_am_loss(problem, control, batch, lean), lean
-    frozen = freeze_control(control)
-    full = solve_first_order_adjoint(problem, frozen, batch)
-    second = solve_second_order_adjoint(problem, frozen, batch, full)
-    return bam_loss(problem, control, batch, full, second), full
+def _solve_loss(problem, control, batch, loss_kind, fit=None):
+    """LossReport of `loss_kind` on `batch`, after its adjoints; with
+    `fit`, the loss walk also feeds it every chunk (`_normal_equations`)."""
+    stored = ()
+    if loss_kind == "bam":
+        frozen = freeze_control(control)
+        first = solve_first_order_adjoint(problem, frozen, batch)
+        stored = (solve_second_order_adjoint(problem, frozen, batch, first),)
+    else:
+        first = solve_lean_adjoint(problem, control, batch)
+    if fit is not None:
+        return _walk_loss(loss_kind, problem, control, batch, first,
+                          *(s.values for s in stored), fit=fit)
+    loss = {"lean_am": lean_am_loss, "bam": bam_loss,
+            "quadratic_am": quadratic_am_loss}[loss_kind]
+    return loss(problem, control, batch, first, *stored)
+
+
+def _check_msa(problem, control):
+    """UnsupportedProblemError unless `msa_exact_step` applies."""
+    if not control.affine:
+        raise UnsupportedProblemError(
+            f"msa_exact_step needs an affine control family "
+            f"(u = K(t) x + c(t), linear in theta), got {control.family!r}")
+    if not problem.control_affine_quadratic:
+        raise UnsupportedProblemError(
+            "msa_exact_step needs a control_affine_quadratic problem")
+
+
+def _normal_equations(problem, control, dt):
+    """(normal, rhs, add) of the MSA fit, both zero until add(lo, hi, t,
+    x, u, layouts, phi, a) sums one frozen-batch walk chunk into them.
+
+    A node's normal matrix is phi's F x F Gram, added at every control
+    component's layout; its right-hand side is the features contracted
+    with the target -d2_drift' a.
+    """
+    normal = np.zeros((control.n_params, control.n_params))
+    rhs = np.zeros(control.n_params)
+    d2_drift = problem.derivatives.d2_drift
+
+    def add(lo, hi, t, x, u, layouts, phi, a):
+        target = -np.einsum("bic,bi->bc", d2_drift(x, u, t), a)
+        phi_nodes = _per_node(phi, lo, hi)
+        grams = np.einsum("nbf,nbg->nfg", phi_nodes, phi_nodes)
+        np.add.at(normal, (layouts[..., None], layouts[:, :, None]),
+                  dt * grams[:, None])
+        _scatter(rhs, layouts, dt * _node_sums(phi, target, lo, hi))
+
+    return normal, rhs, add
+
+
+def _solve_normal_equations(normal, rhs):
+    """The normal equations' solution, or their pseudoinverse's (with a
+    warning) when they are near-singular."""
+    cond = np.linalg.cond(normal)
+    if not np.isfinite(cond) or cond > 1e12:
+        logger.warning("normal equations ill-conditioned (cond=%.3e); "
+                       "using pseudoinverse", cond)
+        return np.linalg.pinv(normal) @ rhs
+    return np.linalg.solve(normal, rhs)
 
 
 def msa_exact_step(problem, control, traj_batch, lean_adjoints):
@@ -131,33 +184,27 @@ def msa_exact_step(problem, control, traj_batch, lean_adjoints):
     by the normal equations, or their pseudoinverse (with a warning) when
     they are near-singular. Returns the new parameter vector.
     """
-    if not control.affine:
-        raise UnsupportedProblemError(
-            f"msa_exact_step needs an affine control family "
-            f"(u = K(t) x + c(t), linear in theta), got {control.family!r}")
-    if not problem.control_affine_quadratic:
-        raise UnsupportedProblemError(
-            "msa_exact_step needs a control_affine_quadratic problem")
+    _check_msa(problem, control)
     avals = _aligned(lean_adjoints, traj_batch, "lean_adjoints")
-    dt = traj_batch.grid.dt
-    normal = np.zeros((control.n_params, control.n_params))
-    rhs = np.zeros(control.n_params)
-    for lo, hi, t, x, u, cols, block, a in _walk(problem, control,
-                                                 traj_batch, avals):
-        target = -np.einsum("bic,bi->bc",
-                            problem.derivatives.d2_drift(x, u, t), a)
-        block = _per_node(block, lo, hi)
-        normals = np.einsum("nbcp,nbcq->npq", block, block)
-        rhss = np.einsum("nbcp,nbc->np", block, _per_node(target, lo, hi))
-        for col, nrm, r in zip(cols, normals, rhss):
-            normal[col, col] += dt * nrm
-            rhs[col] += dt * r
-    cond = np.linalg.cond(normal)
-    if not np.isfinite(cond) or cond > 1e12:
-        logger.warning("normal equations ill-conditioned (cond=%.3e); "
-                       "using pseudoinverse", cond)
-        return np.linalg.pinv(normal) @ rhs
-    return np.linalg.solve(normal, rhs)
+    normal, rhs, add = _normal_equations(problem, control,
+                                         traj_batch.grid.dt)
+    for chunk in _walk(problem, control, traj_batch, avals):
+        add(*chunk)
+    return _solve_normal_equations(normal, rhs)
+
+
+def _check_trainable(problem, control, config):
+    """Refuse, before the first batch, what the loop would refuse later
+    or train with a biased loss: UnsupportedProblemError."""
+    if config.loss_kind == "lean_am" and not problem.diffusion_ignores_control:
+        raise UnsupportedProblemError(
+            "loss_kind 'lean_am' needs a diffusion that ignores u; its "
+            "gradient drops the noise's dependence on the control (use "
+            "'bam')")
+    if config.loss_kind == "quadratic_am":
+        _check_quadratic_am(problem)
+    if config.msa_exact:
+        _check_msa(problem, control)
 
 
 def train_adjoint_matching(problem, control, grid, config):
@@ -168,6 +215,7 @@ def train_adjoint_matching(problem, control, grid, config):
     recorded objective is the batch estimate under the pre-update control
     of that iteration.
     """
+    _check_trainable(problem, control, config)
     history = TrainHistory(records=[])
 
     def abort(iteration, reason):
@@ -179,11 +227,13 @@ def train_adjoint_matching(problem, control, grid, config):
     for it in range(config.n_iters):
         seed = (config.master_seed + it if config.resample_noise_each_iter
                 else config.master_seed)
+        normal, rhs, fit = (_normal_equations(problem, control, grid.dt)
+                            if config.msa_exact else (None, None, None))
         try:
             batch = simulate_batch(problem, control, grid, seed,
                                    config.paths_per_iter)
-            report, lean = _solve_loss(problem, control, batch,
-                                       config.loss_kind)
+            report = _solve_loss(problem, control, batch, config.loss_kind,
+                                 fit)
         except SimulationError as exc:
             abort(it, str(exc))
         objective, objective_se = _mean_se(batch.pathwise_costs)
@@ -195,8 +245,7 @@ def train_adjoint_matching(problem, control, grid, config):
             abort(it, f"loss diverged ({report.loss_value:.3e})")
 
         if config.msa_exact:
-            new_theta = msa_exact_step(problem, control, batch, lean)
-            step_vec = new_theta - control.theta
+            step_vec = _solve_normal_equations(normal, rhs) - control.theta
         else:
             step_vec = -config.step_size * report.grad_theta
         radius = config.trust_region_radius

@@ -122,3 +122,44 @@ def build_zero_cost_problem():
 @pytest.fixture(scope="session")
 def zero_cost_problem():
     return build_zero_cost_problem()
+
+
+def build_u_noise_problem():
+    """dX = (-X + u) dt + (0.5 + u) dB, f = 0.5 u^2, g = |x|^2, X_0 = 0:
+    the diffusion depends on the control (dsigma/du = 1)."""
+
+    def drift(x, u, t):
+        return -x + u
+
+    def diffusion(x, u, t):
+        return (0.5 + u)[:, None, :] * np.ones((x.shape[0], 1, 1))
+
+    def running_cost(x, u, t):
+        return 0.5 * np.einsum("bk,bk->b", u, u)
+
+    def terminal_cost(x):
+        return np.einsum("bi,bi->b", x, x)
+
+    def initial_sampler(seed, path_index):
+        return np.zeros(1)
+
+    bundle = sl.DerivativeBundle(
+        d1_drift=lambda x, u, t: np.full((x.shape[0], 1, 1), -1.0),
+        d2_drift=lambda x, u, t: np.ones((x.shape[0], 1, 1)),
+        d1_cost=lambda x, u, t: np.zeros_like(x),
+        d2_cost=lambda x, u, t: np.asarray(u, dtype=np.float64),
+        grad_terminal=lambda x: 2.0 * x,
+        hess_terminal=lambda x: np.full((x.shape[0], 1, 1), 2.0),
+        dsigma_dx=lambda x, u, t: np.zeros((x.shape[0], 1, 1, 1)),
+        dsigma_du=lambda x, u, t: np.ones((x.shape[0], 1, 1, 1)),
+    )
+    return sl.make_controlled_diffusion_problem(
+        d=1, k=1, m=1, horizon=1.0, drift=drift, diffusion=diffusion,
+        running_cost=running_cost, terminal_cost=terminal_cost,
+        initial_sampler=initial_sampler, derivatives=bundle,
+        name="u_noise")
+
+
+@pytest.fixture(scope="session")
+def u_noise_problem():
+    return build_u_noise_problem()

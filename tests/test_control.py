@@ -63,10 +63,11 @@ def test_linear_feedback_piecewise_evaluation():
 
 def test_linear_feedback_jacobians():
     rng = np.random.default_rng(_PROBE_SEED)
-    theta = rng.standard_normal(3 * (1 * 2 + 1))
-    ctrl = sl.make_linear_feedback_control(2, 1, 3, 1.0, theta=theta)
-    _check_jacobians(ctrl, d=2)
-    assert ctrl.x_hessian_is_zero and ctrl.affine
+    for k in (1, 2):  # k = 2: each component's gain row and offset
+        theta = rng.standard_normal(3 * (k * 2 + k))
+        ctrl = sl.make_linear_feedback_control(2, k, 3, 1.0, theta=theta)
+        _check_jacobians(ctrl, d=2)
+        assert ctrl.x_hessian_is_zero and ctrl.affine
 
 
 def test_feature_linear_evaluation_matches_manual():
@@ -84,11 +85,12 @@ def test_feature_linear_jacobians():
     feats = ["1", "t", "x", "x*tau", "exp(-3*tau)"]
     rng = np.random.default_rng(_PROBE_SEED + 1)
     n_cols = 3 + 2 * 2  # 3 scalar features + 2 x-features in d=2
-    theta = rng.standard_normal(1 * n_cols)
-    ctrl = sl.make_feature_linear_control(2, 1, feats, 1.0, theta=theta)
-    assert ctrl.n_params == n_cols
-    _check_jacobians(ctrl, d=2)
-    assert ctrl.x_hessian_is_zero and ctrl.affine
+    for k in (1, 2):  # k = 2: one row of theta per component
+        theta = rng.standard_normal(k * n_cols)
+        ctrl = sl.make_feature_linear_control(2, k, feats, 1.0, theta=theta)
+        assert ctrl.n_params == k * n_cols
+        _check_jacobians(ctrl, d=2)
+        assert ctrl.x_hessian_is_zero and ctrl.affine
 
 
 def test_feature_linear_rejects_unknown_feature():
@@ -226,9 +228,10 @@ def test_every_entry_point_checks_the_point(family):
 @pytest.mark.parametrize("frozen", (False, True), ids=("plain", "frozen"))
 @pytest.mark.parametrize("family", list(_FAMILIES))
 def test_param_block_scatters_to_the_dense_jacobian(family, frozen):
-    """A one-node chunk's (cols, block) du/dtheta, scattered into zeros, is
-    `jacobians`'s dense one bit for bit, at interior times and interval
-    boundaries."""
+    """A one-node chunk's factored du/dtheta (layout, phi), scattered into
+    zeros component by component, is `jacobians`'s dense one bit for bit,
+    at interior times and interval boundaries. An affine family's phi is
+    shared by the components, whose layout rows name disjoint columns."""
     rng = np.random.default_rng(_PROBE_SEED + 4)
     ctrl = _FAMILIES[family]()
     ctrl = ctrl.with_theta(rng.standard_normal(ctrl.n_params))
@@ -236,30 +239,38 @@ def test_param_block_scatters_to_the_dense_jacobian(family, frozen):
         ctrl = sl.freeze_control(ctrl)
     x = rng.standard_normal((5, ctrl.d))
     for t in (0.0, 0.3, 2.0 / 3.0, 1.0, 1.9, 2.0):
-        _, (cols,), block = ctrl.node_chunk(x, [t])
+        _, (layout,), phi = ctrl.node_chunk(x, [t])
+        assert layout.shape == (ctrl.k, phi.shape[-1])
         dense = np.zeros((5, ctrl.k, ctrl.n_params))
-        dense[..., cols] = block
+        for c in range(ctrl.k):
+            dense[:, c, layout[c]] = phi if ctrl.affine else phi[:, c]
         np.testing.assert_array_equal(dense, ctrl.jacobians(x, t)[0])
-        if family == "linear_feedback":  # the active interval's block only
-            assert block.shape == (5, ctrl.k, ctrl.k * ctrl.d + ctrl.k)
+        if ctrl.affine:
+            assert phi.ndim == 2 and np.unique(layout).size == layout.size
+        if family == "linear_feedback":  # [x, 1] in the active interval
+            assert phi.shape == (5, ctrl.d + 1)
+            per = ctrl.k * ctrl.d + ctrl.k
+            assert layout.max() - layout.min() < per
 
 
 @pytest.mark.parametrize("family", list(_FAMILIES))
 def test_node_chunk_stacks_the_per_node_calls(family):
     """A chunk of nodes gives, row block by row block, each node's
-    `evaluate` and one-node chunk; only the affine families stack nodes."""
+    `evaluate` and one-node chunk (its layout and features); only the
+    affine families stack nodes."""
     rng = np.random.default_rng(_PROBE_SEED + 5)
     ctrl = _FAMILIES[family]()
     ctrl = ctrl.with_theta(rng.standard_normal(ctrl.n_params))
     times = [0.3, 2.0 / 3.0, 1.9] if ctrl.affine else [0.3]
     x = rng.standard_normal((5 * len(times), ctrl.d))
-    u, cols, block = ctrl.node_chunk(x, times)
+    u, layouts, phi = ctrl.node_chunk(x, times)
+    assert len(layouts) == len(times)
     for j, t in enumerate(times):
         rows = slice(5 * j, 5 * (j + 1))
         np.testing.assert_array_equal(u[rows], ctrl.evaluate(x[rows], t))
-        _, (want_cols,), want_block = ctrl.node_chunk(x[rows], [t])
-        assert cols[j] == want_cols
-        np.testing.assert_array_equal(block[rows], want_block)
+        _, (want_layout,), want_phi = ctrl.node_chunk(x[rows], [t])
+        np.testing.assert_array_equal(layouts[j], want_layout)
+        np.testing.assert_array_equal(phi[rows], want_phi)
     if not ctrl.affine:
         with pytest.raises(sl.ValidationError, match="cannot split"):
             ctrl.node_chunk(np.zeros((4, ctrl.d)), [0.3, 0.6])

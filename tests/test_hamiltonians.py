@@ -1,5 +1,7 @@
 """Hamiltonians, matching losses, and the Monte-Carlo objective."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -48,39 +50,9 @@ def test_generalized_hamiltonian_reduces_to_lean(sg_problem, lq_problem):
     np.testing.assert_allclose(other, lean, rtol=1e-12)
 
 
-def test_generalized_hamiltonian_gap_value():
+def test_generalized_hamiltonian_gap_value(u_noise_problem):
     """dsigma/du != 0 makes the penalty explicit and hand-checkable."""
-
-    def drift(x, u, t):
-        return -x + u
-
-    def diffusion(x, u, t):
-        return (0.5 + u)[:, None, :] * np.ones((x.shape[0], 1, 1))
-
-    def running_cost(x, u, t):
-        return 0.5 * np.einsum("bk,bk->b", u, u)
-
-    def terminal_cost(x):
-        return np.einsum("bi,bi->b", x, x)
-
-    def initial_sampler(seed, path_index):
-        return np.zeros(1)
-
-    bundle = sl.DerivativeBundle(
-        d1_drift=lambda x, u, t: np.full((x.shape[0], 1, 1), -1.0),
-        d2_drift=lambda x, u, t: np.ones((x.shape[0], 1, 1)),
-        d1_cost=lambda x, u, t: np.zeros_like(x),
-        d2_cost=lambda x, u, t: np.asarray(u, dtype=np.float64),
-        grad_terminal=lambda x: 2.0 * x,
-        hess_terminal=lambda x: np.full((x.shape[0], 1, 1), 2.0),
-        dsigma_dx=lambda x, u, t: np.zeros((x.shape[0], 1, 1, 1)),
-        dsigma_du=lambda x, u, t: np.ones((x.shape[0], 1, 1, 1)),
-    )
-    prob = sl.make_controlled_diffusion_problem(
-        d=1, k=1, m=1, horizon=1.0, drift=drift, diffusion=diffusion,
-        running_cost=running_cost, terminal_cost=terminal_cost,
-        initial_sampler=initial_sampler, derivatives=bundle,
-        name="u_noise")
+    prob = u_noise_problem
     x = np.array([[0.7]])
     u = np.array([[0.9]])
     u_ref = np.array([[0.4]])
@@ -90,6 +62,25 @@ def test_generalized_hamiltonian_gap_value():
             + 0.5 * (0.9 - 0.4) ** 2 * 2.0)
     got = sl.hamiltonian_generalized(prob, x, u, 0.2, p, m, u_ref)
     assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_diffusion_ignores_control_probe(u_noise_problem, lq_problem,
+                                        sg_problem):
+    """sigma = 0.5 + u probes False; sigma(x) and sigma(t) probe True, and
+    a copy made with `dataclasses.replace` probes again."""
+    assert not u_noise_problem.diffusion_ignores_control
+    assert lq_problem.diffusion_ignores_control
+    assert sg_problem.diffusion_ignores_control
+    assert not sg_problem.diffusion_time_only
+    fixed = dataclasses.replace(
+        u_noise_problem,
+        diffusion=lambda x, u, t: np.full((x.shape[0], 1, 1), 0.5),
+        derivatives=dataclasses.replace(u_noise_problem.derivatives,
+                                        dsigma_du=None))
+    assert fixed.diffusion_ignores_control
+    noisy = dataclasses.replace(
+        lq_problem, diffusion=lambda x, u, t: 0.8 * (1.0 + u[:, :, None]))
+    assert not noisy.diffusion_ignores_control
 
 
 # ---------------------------------------------------------------------------

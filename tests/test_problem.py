@@ -320,7 +320,8 @@ def test_directly_built_spec_probes_its_flags(sg_problem):
 
 @pytest.mark.parametrize("flag", ["diffusion_time_only",
                                   "control_affine_quadratic",
-                                  "time_homogeneous"])
+                                  "time_homogeneous",
+                                  "diffusion_ignores_control"])
 def test_flags_cannot_be_declared(sg_problem, flag):
     with pytest.raises(TypeError, match=flag):
         sl.ProblemSpec(**_fields_of(sg_problem), **{flag: True})

@@ -1,5 +1,7 @@
 """Training loop, MSA steps, and checkpoint evaluation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -282,6 +284,51 @@ def test_msa_trainer_mode_runs():
     for j in range(4):
         t_mid = (j + 0.5) / 4.0
         assert abs(trained.theta[2 * j] + 1.0 / (2.0 - t_mid)) < 0.1
+
+
+def test_msa_trainer_walks_each_batch_once(lq_problem, monkeypatch):
+    """The MSA normal equations are summed in the loss walk: every
+    iteration asks the control for each grid node once, not twice, and
+    steps to the theta `msa_exact_step` gives on the same batch."""
+    grid = sl.TimeGrid(40, 1.0)
+    ctrl = sl.make_linear_feedback_control(1, 1, 4, 1.0,
+                                           theta=np.full(8, -0.2))
+    cfg = sl.TrainConfig(n_iters=3, paths_per_iter=256, step_size=1.0,
+                         master_seed=5, msa_exact=True)
+    batch = sl.simulate_batch(lq_problem, ctrl, grid, 5, 256)
+    want = sl.msa_exact_step(lq_problem, ctrl, batch, sl.solve_lean_adjoint(
+        lq_problem, ctrl, batch))
+    nodes = []
+    node_chunk = sl.ControlModel.node_chunk
+    monkeypatch.setattr(sl.ControlModel, "node_chunk",
+                        lambda self, x, times: nodes.extend(times)
+                        or node_chunk(self, x, times))
+    trained, history = sl.train_adjoint_matching(lq_problem, ctrl, grid, cfg)
+    assert len(nodes) == cfg.n_iters * grid.n_steps
+    one, _ = sl.train_adjoint_matching(lq_problem, ctrl, grid,
+                                       dataclasses.replace(cfg, n_iters=1))
+    np.testing.assert_array_equal(one.theta,
+                                  ctrl.theta + (want - ctrl.theta))
+
+
+def test_trainer_refuses_before_the_first_batch(u_noise_problem, sg_problem,
+                                                lq_problem, monkeypatch):
+    """lean_am on a diffusion that reads u, and msa_exact with a non-affine
+    control or on a problem that is not control-affine-quadratic, raise
+    UnsupportedProblemError before any batch is simulated."""
+    grid = sl.TimeGrid(10, 1.0)
+    affine = sl.make_linear_feedback_control(1, 1, 2, 1.0)
+    net = sl.make_one_hidden_layer_control(1, 1, 3, 1.0)
+    monkeypatch.setattr(sl.train, "simulate_batch", lambda *a: pytest.fail(
+        "simulated a batch"))
+    for problem, control, kw in (
+            (u_noise_problem, affine, {}),
+            (lq_problem, net, {"msa_exact": True}),
+            (sg_problem, affine, {"msa_exact": True})):
+        cfg = sl.TrainConfig(n_iters=1, paths_per_iter=8, step_size=0.1,
+                             master_seed=0, **kw)
+        with pytest.raises(sl.UnsupportedProblemError):
+            sl.train_adjoint_matching(problem, control, grid, cfg)
 
 
 def test_msa_and_gradient_descent_agree_when_drift_gain_is_not_sigma():

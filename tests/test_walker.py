@@ -3,9 +3,11 @@
 The walks after the rollout (the three matching losses, the per-path
 lean-AM gradients, the theta-gradient and the MSA step) all run through
 `adjoint._walk`. It hands every callback a chunk of grid nodes at once
-when the problem is time-homogeneous and the control affine. The
-references below visit one node at a time, through `evaluate` and
-one-node `node_chunk` calls, as the walks did before chunking.
+when the problem is time-homogeneous and the control affine, and the
+walks contract du/dtheta in `node_chunk`'s factored form. The references
+below visit one node at a time, through `evaluate` and `jacobians`' dense
+(B, k, P) du/dtheta, and contract that dense block over every column, as
+the walks did before chunking and factoring.
 """
 
 import numpy as np
@@ -18,11 +20,11 @@ N_STEPS, N_PATHS = 75, 40
 
 
 def _nodes(control, batch):
-    """(i, t, X_i, u re-evaluated, cols, block) at every node, one by one."""
+    """(i, t, X_i, u re-evaluated, dense du/dtheta) at every node, one by
+    one."""
     for i, t in enumerate(batch.grid.nodes[:-1].tolist()):
         x = batch.states[:, i]
-        _, (cols,), block = control.node_chunk(x, [t])
-        yield i, t, x, control.evaluate(x, t), cols, block
+        yield i, t, x, control.evaluate(x, t), control.jacobians(x, t)[0]
 
 
 def _lean_v(problem, x, u, t, a):
@@ -35,7 +37,7 @@ def _reference_loss(kind, problem, control, batch, adjoints, matrix=None):
     dt = batch.grid.dt
     per_time = np.empty(batch.grid.n_steps)
     grad = np.zeros(control.n_params)
-    for i, t, x, u, cols, block in _nodes(control, batch):
+    for i, t, x, u, dense in _nodes(control, batch):
         a = adjoints.values[:, i]
         if kind == "quadratic_am":
             v = u + np.einsum("bic,bi->bc", problem.diffusion(x, u, t), a)
@@ -49,24 +51,24 @@ def _reference_loss(kind, problem, control, batch, adjoints, matrix=None):
             value = value + 0.5 * np.einsum("bij,bej,bie->b", sigma, sigma,
                                             matrix.values[:, i])
         per_time[i] = value.mean()
-        grad[cols] += dt * np.einsum("bcp,bc->bp", block, v).mean(axis=0)
+        grad += dt * np.einsum("bcp,bc->bp", dense, v).mean(axis=0)
     return per_time, grad
 
 
 def _reference_per_path(problem, control, batch, lean):
     grads = np.zeros((len(batch), control.n_params))
-    for i, t, x, u, cols, block in _nodes(control, batch):
+    for i, t, x, u, dense in _nodes(control, batch):
         v = _lean_v(problem, x, u, t, lean.values[:, i])
-        grads[:, cols] += batch.grid.dt * np.einsum("bcp,bc->bp", block, v)
+        grads += batch.grid.dt * np.einsum("bcp,bc->bp", dense, v)
     return grads
 
 
 def _reference_theta_gradient(problem, control, batch, first):
     grads = np.zeros((len(batch), control.n_params))
-    for i, t, x, _, cols, block in _nodes(control, batch):
+    for i, t, x, _, dense in _nodes(control, batch):
         u = batch.controls[:, i]  # the stored control, not re-evaluated
         v = batch.grid.dt * _lean_v(problem, x, u, t, first.values[:, i + 1])
-        grads[:, cols] += np.einsum("bcp,bc->bp", block, v)
+        grads += np.einsum("bcp,bc->bp", dense, v)
     return grads
 
 
@@ -74,11 +76,11 @@ def _reference_msa(problem, control, batch, lean):
     dt = batch.grid.dt
     normal = np.zeros((control.n_params, control.n_params))
     rhs = np.zeros(control.n_params)
-    for i, t, x, u, cols, block in _nodes(control, batch):
+    for i, t, x, u, dense in _nodes(control, batch):
         target = -np.einsum("bic,bi->bc", problem.derivatives.d2_drift(
             x, u, t), lean.values[:, i])
-        normal[cols, cols] += dt * np.einsum("bcp,bcq->pq", block, block)
-        rhs[cols] += dt * np.einsum("bcp,bc->p", block, target)
+        normal += dt * np.einsum("bcp,bcq->pq", dense, dense)
+        rhs += dt * np.einsum("bcp,bc->p", dense, target)
     return np.linalg.solve(normal, rhs)
 
 
@@ -158,6 +160,37 @@ def test_chunked_walks_match_the_per_node_walk(case, nodes, lq_2d_problem,
         assert got.shape == want.shape, name
         gap = np.max(np.abs(got - want)) / np.max(np.abs(want))
         assert gap <= 1e-14, f"{name}: relative gap {gap:.2e}"
+
+
+def _lq_d4():
+    """The solver-sweep benchmark's LQ, d = k = m = 4, under 4-interval
+    feedback at a random theta."""
+    d = 4
+    problem = sl.make_lq_problem(
+        -0.5 * np.eye(d) + 0.1 * np.eye(d, k=1), np.eye(d), np.eye(d),
+        0.5 * np.eye(d), np.eye(d), 1.0)
+    control = sl.make_linear_feedback_control(d, d, 4, 1.0)
+    return problem, control.with_theta(0.3 * np.random.default_rng(8)
+                                       .standard_normal(control.n_params))
+
+
+@pytest.mark.parametrize("nodes", (1, None), ids=("node by node", "default"))
+def test_d4_walks_match_the_per_node_walk_bit_for_bit(nodes, monkeypatch):
+    """At d = k = 4 a component's du/dtheta is 5 features where the dense
+    reference contracts 80 columns, 75 of them zero. Walked node by node
+    or in 10-node chunks, every output has the reference's bits, sign bits
+    included."""
+    problem, control = _lq_d4()
+    if nodes == 1:
+        monkeypatch.setattr(adjoint, "_CHUNK_BLOCK", N_PATHS * 4 * 20 - 1)
+    batch = sl.simulate_batch(problem, control,
+                              sl.TimeGrid(N_STEPS, problem.horizon), 5,
+                              N_PATHS)
+    assert {hi - lo for lo, hi, *_ in adjoint._walk(
+        problem, control, batch)} == ({1} if nodes else {10, 5})
+    for name, got, want in _walks(problem, control, batch):
+        np.testing.assert_array_equal(np.asarray(got).view(np.uint64),
+                                      want.view(np.uint64), err_msg=name)
 
 
 def _time_dependent_problem():
