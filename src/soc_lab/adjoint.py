@@ -26,8 +26,15 @@ The matrix adjoint A_i (second_order kind) differentiates the same
 functional twice; it needs the problem's SecondOrderBundle and a control
 family whose d2u/dx2 vanishes. Its batched matrix-matrix products, like
 those of the total derivatives and `fundamental_matrix`, go through
-`simulate._dot` (matmul at d > 1, an exact broadcast product at d = 1);
-sums over noise columns and matrix-vector contractions stay einsums.
+`simulate._dot` (matmul at d > 1, an exact broadcast product at d = 1),
+and matrix-vector contractions through `simulate._vecmat`. A coefficient
+whose batch axis has stride 0 (np.broadcast_to's, as the LQ builder
+returns A, B, sigma and the cost Hessians, and an affine control its
+du/dx) is one matrix shared by every path, and is contracted once for
+the batch: a matrix-vector step is one (B, d) @ (d, d) product, and with
+a shared drift Jacobian J the second-order step's J'A + AJ and
+`fundamental_matrix`'s Phi (I + dt J) are one (B*d, d) @ (d, d) product.
+Sums over noise columns stay einsums.
 
 `fundamental_matrix` accumulates per-step linearizations
 Phi_i = (I + dt J_{n-1}) ... (I + dt J_i) with J the *partial* drift
@@ -59,7 +66,7 @@ import numpy as np
 from . import _io
 from .errors import UnsupportedProblemError, ValidationError
 from .simulate import (TimeGrid, Trajectory, TrajectoryBatch, _dot,
-                       _non_finite, _time_major)
+                       _non_finite, _time_major, _vecmat)
 
 # Bound on the entries a zero-padded (rows, k, k * F) du/dtheta block would
 # hold in one chunk of a frozen-batch walk, k times the layout's k * F
@@ -320,7 +327,7 @@ def _lean_u_gradient(problem, x, u, t, a):
     """Per-path d(f + <b, a>)/du = d2_cost + d2_drift' a."""
     bundle = problem.derivatives
     return (np.asarray(bundle.d2_cost(x, u, t), dtype=np.float64)
-            + np.einsum("bic,bi->bc", bundle.d2_drift(x, u, t), a))
+            + _vecmat(a, bundle.d2_drift(x, u, t)))
 
 
 def _gradient_anchor(problem):
@@ -339,7 +346,7 @@ def solve_lean_adjoint(problem, control, traj):
     dt = _batch_view(traj)[0].dt
 
     def step(i, x, u, t, db, a):
-        return a + dt * (np.einsum("bip,bi->bp", bundle.d1_drift(x, u, t), a)
+        return a + dt * (_vecmat(a, bundle.d1_drift(x, u, t))
                          + bundle.d1_cost(x, u, t))
 
     return _backward("lean adjoint", traj, _gradient_anchor(problem), step,
@@ -353,7 +360,8 @@ def _total_first_order(problem, control, x, u, t):
     g[b,j] is the j-th noise column's total state Jacobian, or None when
     no diffusion derivative enters it. A frozen control's du_dx is zero by
     construction: it comes back as None, and the partial derivatives are
-    the total ones.
+    the total ones. When d1_drift, d2_drift and du_dx are each one matrix
+    shared by every path (a stride-0 batch axis), jac_x is too.
     """
     bundle = problem.derivatives
     g = (None if bundle.dsigma_dx is None
@@ -362,9 +370,15 @@ def _total_first_order(problem, control, x, u, t):
         return (np.asarray(bundle.d1_drift(x, u, t), dtype=np.float64),
                 bundle.d1_cost(x, u, t), g, None)
     du_dx = np.asarray(control.state_jacobian(x, t), dtype=np.float64)
-    jac_x = bundle.d1_drift(x, u, t) + _dot(bundle.d2_drift(x, u, t), du_dx)
-    grad_f = bundle.d1_cost(x, u, t) + np.einsum(
-        "bcp,bc->bp", du_dx, bundle.d2_cost(x, u, t))
+    d1_drift = np.asarray(bundle.d1_drift(x, u, t), dtype=np.float64)
+    d2_drift = np.asarray(bundle.d2_drift(x, u, t), dtype=np.float64)
+    if d1_drift.strides[0] == d2_drift.strides[0] == du_dx.strides[0] == 0:
+        jac_x = np.broadcast_to(d1_drift[0] + _dot(d2_drift[0], du_dx[0]),
+                                d1_drift.shape)
+    else:
+        jac_x = d1_drift + _dot(d2_drift, du_dx)
+    grad_f = bundle.d1_cost(x, u, t) + _vecmat(bundle.d2_cost(x, u, t),
+                                               du_dx)
     if bundle.dsigma_du is not None:
         coupled = _dot(bundle.dsigma_du(x, u, t), du_dx[:, None])
         g = coupled if g is None else g + coupled
@@ -392,7 +406,7 @@ def solve_first_order_adjoint(problem, control, traj, h_term=None):
 
     def step(i, x, u, t, db, a):
         jac_x, grad_f, g, _ = _total_first_order(problem, control, x, u, t)
-        a_new = a + dt * (np.einsum("bip,bi->bp", jac_x, a) + grad_f)
+        a_new = a + dt * (_vecmat(a, jac_x) + grad_f)
         # c_j is identically zero without G and h: no noise coupling
         c = None if g is None else np.einsum("bjip,bi->bjp", g, a)
         if h_term is not None:
@@ -402,6 +416,13 @@ def solve_first_order_adjoint(problem, control, traj, h_term=None):
 
     return _backward(f"{kind} adjoint", traj, _gradient_anchor(problem),
                      step, functools.partial(Adjoints, kind=kind))
+
+
+def _stack_dot(mats, mat):
+    """mats_b @ mat for a stack (B, r, s) and one (s, q) matrix, as one
+    (B*r, s) @ (s, q) product."""
+    return _dot(mats.reshape(-1, mats.shape[-1]), mat).reshape(
+        mats.shape[:-1] + mat.shape[-1:])
 
 
 def _total_hessian(lead, xx, xu, uu, du_dx):
@@ -481,7 +502,13 @@ def solve_second_order_adjoint(problem, control, traj, first):
         hess_f, hess_b, hess_s = _total_second_order(
             problem, control, x, u, t, du_dx)
         a_vec = first_values[:, i + 1]
-        lyap = _dot(np.swapaxes(jac_x, 1, 2), a_mat) + _dot(a_mat, jac_x)
+        if jac_x.strides[0] == 0:
+            # A is symmetric (every step symmetrizes it), so J'A = (AJ)'
+            a_jac = _stack_dot(a_mat, jac_x[0])
+            lyap = np.swapaxes(a_jac, 1, 2) + a_jac
+        else:
+            lyap = (_dot(np.swapaxes(jac_x, 1, 2), a_mat)
+                    + _dot(a_mat, jac_x))
         # Absent terms are zero; skipping them keeps the sums' order. With
         # G = None every term of U_j but sum_i a^i hess_s_ij vanishes.
         u_noise = None
@@ -525,6 +552,8 @@ def fundamental_matrix(problem, control, traj):
 
     def step(i, x, u, t, db, phi):
         jac = np.asarray(bundle.d1_drift(x, u, t), dtype=np.float64)
+        if jac.strides[0] == 0:
+            return _stack_dot(phi, eye + dt * jac[0])
         return _dot(phi, eye + dt * jac)
 
     return _backward(

@@ -187,7 +187,9 @@ class _Affine(ControlModel):
         return _dot(x, gain.T) + offset
 
     def _chunk_u(self, x, times):
-        """K(t_j) and c(t_j) stacked per node."""
+        """K(t_j) and c(t_j) stacked per node; one node needs no stack."""
+        if len(times) == 1:
+            return self._u(x, times[0])
         gains, offsets = zip(*map(self._affine, times))
         u = (_dot(x.reshape(len(times), -1, self.d),
                   np.swapaxes(np.stack(gains), 1, 2))

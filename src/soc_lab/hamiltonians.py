@@ -39,7 +39,8 @@ from .adjoint import (SECOND_ORDER, _add_per_path, _aligned,
                       _lean_hamiltonian, _lean_u_gradient, _node_sums,
                       _per_node, _scatter, _walk)
 from .errors import UnsupportedProblemError, ValidationError
-from .simulate import _positive_count, draw_batch_inputs, simulate_costs
+from .simulate import (_positive_count, _vecmat, draw_batch_inputs,
+                       simulate_costs)
 
 
 def _point(problem, x, u):
@@ -135,7 +136,7 @@ def _bam_step(problem, t, x, u, a, a_mat):
 
 
 def _quadratic_am_step(problem, t, x, u, a):
-    resid = u + np.einsum("bic,bi->bc", problem.diffusion(x, u, t), a)
+    resid = u + _vecmat(a, problem.diffusion(x, u, t))
     return 0.5 * np.einsum("bk,bk->b", resid, resid), resid
 
 

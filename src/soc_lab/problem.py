@@ -476,6 +476,29 @@ def _check_sym_psd(mat, name):
                               f"(min eigenvalue {w.min():.3e})")
 
 
+def _shared(mat):
+    """Callback (x, ...) -> `mat` for every row of x, as a read-only
+    np.broadcast_to view: its batch axis has stride 0, so the solvers
+    contract `mat` once for the batch. The view is reused while the
+    batch size stays the same: building one takes about 3 us (2-vCPU x86
+    machine, numpy 2.4), more than the 4 x 4 contraction it feeds."""
+    last = np.broadcast_to(mat, (0,) + mat.shape)
+
+    def rows(x, *_):
+        nonlocal last
+        view = last
+        if len(view) != len(x):
+            view = last = np.broadcast_to(mat, (len(x),) + mat.shape)
+        return view
+
+    return rows
+
+
+def _quadratic(x, mat):
+    """Per-row x_b' mat x_b, as the row-dot of x mat with x."""
+    return np.einsum("bi,bi->b", _dot(x, mat), x)
+
+
 def _psd_factor(cov):
     """L with L L^T = cov, valid for singular PSD matrices."""
     w, v = np.linalg.eigh(cov)
@@ -519,40 +542,36 @@ def make_lq_problem(a_mat, b_mat, sigma, q_run, q_term, horizon,
     _check_sym_psd(cov, "x0_cov")
     chol = _psd_factor(cov)
 
-    eye_k = np.eye(k)
-
     def drift(x, u, t):
         return _dot(x, a.T) + _dot(u, b.T)
 
-    def diffusion(x, u, t):
-        return np.broadcast_to(s, (x.shape[0], d, m))
-
     def running_cost(x, u, t):
-        # at d = 1 the einsum's one term is (x qr) x, and the u term is
-        # never -0.0, so the product form gives the same bits
-        state = (x * qr * x)[:, 0] if d == 1 else np.einsum(
-            "bi,ij,bj->b", x, qr, x)
+        # at d = 1 the quadratic form's one term is (x qr) x, and the u
+        # term is never -0.0, so the product form gives the same bits
+        state = (x * qr * x)[:, 0] if d == 1 else _quadratic(x, qr)
         return 0.5 * state + 0.5 * np.einsum("bk,bk->b", u, u)
 
     def terminal_cost(x):
-        return 0.5 * np.einsum("bi,ij,bj->b", x, qt, x)
+        # nothing is added to the d = 1 form, so it keeps einsum's sum
+        # 0.0 + (x qt) x, where the product alone could be -0.0
+        if d == 1:
+            return 0.5 * np.einsum("bi,ij,bj->b", x, qt, x)
+        return 0.5 * _quadratic(x, qt)
 
     bundle = DerivativeBundle(
-        d1_drift=lambda x, u, t: np.broadcast_to(a, (x.shape[0], d, d)),
-        d2_drift=lambda x, u, t: np.broadcast_to(b, (x.shape[0], d, k)),
+        d1_drift=_shared(a),
+        d2_drift=_shared(b),
         d1_cost=lambda x, u, t: _dot(x, qr),
         d2_cost=lambda x, u, t: np.asarray(u, dtype=np.float64),
         grad_terminal=lambda x: _dot(x, qt),
-        hess_terminal=lambda x: np.broadcast_to(qt, (x.shape[0], d, d)),
-        second_order=SecondOrderBundle(
-            cost_hess_xx=lambda x, u, t: np.broadcast_to(qr, (x.shape[0], d, d)),
-            cost_hess_uu=lambda x, u, t: np.broadcast_to(eye_k, (x.shape[0], k, k)),
-        ),
+        hess_terminal=_shared(qt),
+        second_order=SecondOrderBundle(cost_hess_xx=_shared(qr),
+                                       cost_hess_uu=_shared(np.eye(k))),
     )
 
     problem = ProblemSpec(
         d=d, k=k, m=m, horizon=horizon,
-        drift=drift, diffusion=diffusion,
+        drift=drift, diffusion=_shared(s),
         running_cost=running_cost, terminal_cost=terminal_cost,
         initial_sampler=_GaussianSampler(mean, chol), derivatives=bundle,
         name="lq",

@@ -16,6 +16,12 @@ alongside it. The per-path draws re-key one Philox generator per thread
 (`_rng._rekey`) instead of building a generator per path; the numbers
 are the same either way.
 
+Coefficients shared by every path (the LQ builder's sigma, A, B and cost
+Hessians) come as np.broadcast_to views whose batch axis has stride 0;
+`_vecmat` contracts such a matrix with one (B, i) @ (i, p) product for
+the batch instead of B separate ones, in the rollout, the sweeps and the
+walks.
+
 Batched per-step arrays (states, controls, increments, and the adjoint
 values solved along them) are stored time-major, (n_steps+1, B, d) in
 memory, and exposed as path-major (B, n_steps+1, d) views: every sweep
@@ -74,12 +80,28 @@ def _dot(x, mat):
     one-term sum 0.0 + x_b mat_j: the added 0.0 turns a -0.0 product into
     +0.0, as the sum does. It serves batched (stacked) matrix products as
     well as row-by-matrix ones; at d = 1 those give the same bits as an
-    einsum's one-term sum."""
+    einsum's one-term sum, which is why `_vecmat`'s shared route and the
+    sweeps' one-product-per-batch steps keep the d = 1 bits."""
     if mat.shape[-2] != 1:
         return x @ mat
     out = x * mat
     out += 0.0
     return out
+
+
+def _vecmat(v, mats):
+    """Rows v_b @ mats_b, einsum("bi,bip->bp") of (B, i) and (B, i, p).
+
+    A stride-0 batch axis (np.broadcast_to's) is one matrix shared by
+    every path: then this is one (B, i) @ (i, p) product through `_dot`,
+    not B separate ones. At i = 1 both forms are the one-term sum 0.0 +
+    v_b m_b, bit for bit; at i > 1 the product may sum in another order
+    (agreement to ~1e-15 relative).
+    """
+    mats = np.asarray(mats, dtype=np.float64)
+    if mats.strides[0] == 0:
+        return _dot(v, mats[0])
+    return np.einsum("bip,bi->bp", mats, v)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -189,11 +211,13 @@ def euler_step(problem, x, u, t, dt, db):
     """One Euler-Maruyama step on a batch; the package's single step rule.
 
     Float-level contract: the result is computed exactly as
-    x + drift * dt + einsum('bim,bm->bi', sigma, db), so callers can
-    reproduce stored steps bit-for-bit.
+    x + drift * dt + einsum('bim,bm->bi', sigma, db), or as
+    x + drift * dt + db @ sigma[0].T when sigma's batch axis has stride 0
+    (one matrix shared by every path, as np.broadcast_to gives), so
+    callers can reproduce stored steps bit-for-bit.
     """
     return (x + problem.drift(x, u, t) * dt
-            + np.einsum("bim,bm->bi", problem.diffusion(x, u, t), db))
+            + _vecmat(db, np.swapaxes(problem.diffusion(x, u, t), 1, 2)))
 
 
 def _check_grid(problem, grid):
@@ -210,8 +234,10 @@ def _non_finite(what, step_index, path_index):
 
 
 def _check_finite(x, step_index, path_indices):
-    ok = np.isfinite(x).all(axis=1)
-    if not ok.all():
+    """SimulationError naming the first path whose state is not finite;
+    the path is only looked for once the whole batch fails the check."""
+    if not np.isfinite(x).all():
+        ok = np.isfinite(x).all(axis=1)
         raise _non_finite("state", step_index,
                           int(path_indices[int(np.argmin(ok))]))
 

@@ -35,7 +35,7 @@ from .errors import (SimulationError, TrainingAborted,
 from .hamiltonians import (_check_quadratic_am, _mean_se, _walk_loss,
                            bam_loss, lean_am_loss, quadratic_am_loss,
                            sample_pathwise_costs)
-from .simulate import _positive_count, simulate_batch
+from .simulate import _positive_count, _vecmat, simulate_batch
 
 logger = logging.getLogger(__name__)
 
@@ -154,7 +154,7 @@ def _normal_equations(problem, control, dt):
     d2_drift = problem.derivatives.d2_drift
 
     def add(lo, hi, t, x, u, layouts, phi, a):
-        target = -np.einsum("bic,bi->bc", d2_drift(x, u, t), a)
+        target = -_vecmat(a, d2_drift(x, u, t))
         phi_nodes = _per_node(phi, lo, hi)
         grams = np.einsum("nbf,nbg->nfg", phi_nodes, phi_nodes)
         np.add.at(normal, (layouts[..., None], layouts[:, :, None]),
